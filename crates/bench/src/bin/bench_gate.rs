@@ -230,8 +230,8 @@ mod tests {
         std::fs::create_dir_all(&emitted).unwrap();
         std::fs::create_dir_all(&blessed).unwrap();
         let doc = r#"{"cases": [{"id": "a", "median_ns": 10.0, "score": 1.0}]}"#;
-        std::fs::write(emitted.join("BENCH_x.json"), doc).unwrap();
-        std::fs::write(blessed.join("BENCH_x.json"), "{\"stale\": true}").unwrap();
+        ldp_common::write_atomic(&emitted.join("BENCH_x.json"), doc).unwrap();
+        ldp_common::write_atomic(&blessed.join("BENCH_x.json"), "{\"stale\": true}").unwrap();
         let written = bless(&["BENCH_x.json".to_string()], &emitted, &blessed).unwrap();
         assert_eq!(written, [blessed.join("BENCH_x.json")]);
         assert_eq!(std::fs::read_to_string(&written[0]).unwrap(), doc);
@@ -276,12 +276,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let blessed = dir.join("blessed.json");
         let emitted = dir.join("emitted.json");
-        std::fs::write(
+        ldp_common::write_atomic(
             &blessed,
             r#"{"cases": [{"id": "a", "median_ns": 10.0, "score": 0.0}]}"#,
         )
         .unwrap();
-        std::fs::write(
+        ldp_common::write_atomic(
             &emitted,
             r#"{"cases": [{"id": "a", "median_ns": 10.0, "score": 1.0}]}"#,
         )

@@ -367,6 +367,10 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> Result<()> {
     let tmp = dir.join(format!(".{stem}.tmp-{}-{seq}", std::process::id()));
 
     let write_all = |tmp: &std::path::Path| -> std::io::Result<()> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "write_atomic's own staging file: created next to the target, renamed into place only once complete"
+        )]
         let mut file = std::fs::File::create(tmp)?;
         file.write_all(contents.as_bytes())?;
         file.sync_all()?;
@@ -524,6 +528,10 @@ mod tests {
         // the target directory (exactly what write_atomic stages before
         // its rename) and is never renamed into place.
         let torn = dir.join(".checkpoint.json.tmp-crashed");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deliberately writes the torn staging file a crash would leave behind"
+        )]
         std::fs::write(&torn, &new[..5]).unwrap();
         assert_eq!(
             std::fs::read_to_string(&target).unwrap(),

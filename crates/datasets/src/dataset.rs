@@ -304,15 +304,15 @@ mod tests {
         let dir = std::env::temp_dir().join("ldprecover-test-datasets");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("items.txt");
-        std::fs::write(&path, "# comment\n0\n1\n\n2\n1\n").unwrap();
+        ldp_common::write_atomic(&path, "# comment\n0\n1\n\n2\n1\n").unwrap();
         let ds = Dataset::from_item_file("file", Domain::new(3).unwrap(), &path).unwrap();
         assert_eq!(ds.items(), &[0, 1, 2, 1]);
 
-        std::fs::write(&path, "0\nnot-a-number\n").unwrap();
+        ldp_common::write_atomic(&path, "0\nnot-a-number\n").unwrap();
         let err = Dataset::from_item_file("file", Domain::new(3).unwrap(), &path).unwrap_err();
         assert!(matches!(err, LdpError::Parse { line: 2, .. }));
 
-        std::fs::write(&path, "7\n").unwrap();
+        ldp_common::write_atomic(&path, "7\n").unwrap();
         assert!(Dataset::from_item_file("file", Domain::new(3).unwrap(), &path).is_err());
     }
 }

@@ -88,6 +88,10 @@ pub fn bless_goldens(root: &Path) -> Result<usize, LintError> {
     // ldp_common::write_atomic): a crash mid-bless must not leave a torn
     // manifest that every later `--check-goldens` run trusts.
     let tmp = root.join(format!(".{GOLDEN_MANIFEST}.tmp-{}", std::process::id()));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "staging file of this function's own temp-and-rename; ldp-lint cannot depend on ldp_common::write_atomic"
+    )]
     std::fs::write(&tmp, &manifest)
         .map_err(|e| LintError::Io(format!("{GOLDEN_MANIFEST}: {e}")))?;
     if let Err(e) = std::fs::rename(&tmp, root.join(GOLDEN_MANIFEST)) {
@@ -168,6 +172,7 @@ pub fn check_goldens(root: &Path) -> Result<Vec<String>, LintError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_common::write_atomic;
     use std::path::PathBuf;
 
     #[test]
@@ -184,10 +189,10 @@ mod tests {
         for dir in GOLDEN_DIRS {
             std::fs::create_dir_all(root.join(dir)).unwrap();
         }
-        std::fs::write(root.join("tests/golden/a.json"), b"{\"v\": 1}\n").unwrap();
-        std::fs::write(
-            root.join("crates/bench/trajectory/BENCH_x.json"),
-            b"{\"cases\": []}\n",
+        write_atomic(&root.join("tests/golden/a.json"), "{\"v\": 1}\n").unwrap();
+        write_atomic(
+            &root.join("crates/bench/trajectory/BENCH_x.json"),
+            "{\"cases\": []}\n",
         )
         .unwrap();
         root
@@ -214,9 +219,9 @@ mod tests {
         bless_goldens(&root).unwrap();
 
         // Drift: edit a blessed golden.
-        std::fs::write(root.join("tests/golden/a.json"), b"{\"v\": 2}\n").unwrap();
+        write_atomic(&root.join("tests/golden/a.json"), "{\"v\": 2}\n").unwrap();
         // Uncovered: a new golden the manifest has never seen.
-        std::fs::write(root.join("tests/golden/b.json"), b"{}\n").unwrap();
+        write_atomic(&root.join("tests/golden/b.json"), "{}\n").unwrap();
 
         let errors = check_goldens(&root).unwrap();
         assert_eq!(errors.len(), 2, "{errors:?}");
@@ -238,7 +243,7 @@ mod tests {
         );
 
         // Re-blessing clears everything.
-        std::fs::write(root.join("tests/golden/a.json"), b"{\"v\": 2}\n").unwrap();
+        write_atomic(&root.join("tests/golden/a.json"), "{\"v\": 2}\n").unwrap();
         bless_goldens(&root).unwrap();
         assert_eq!(check_goldens(&root).unwrap(), Vec::<String>::new());
     }

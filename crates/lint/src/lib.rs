@@ -10,9 +10,10 @@
 //! of hoping a test notices. It is a hand-rolled lexer ([`lexer`]) plus
 //! two analysis stages — token-local rules ([`rules`]) and a cross-file
 //! stage ([`tree`] → [`symbols`] → [`callgraph`] → [`passes`]) — plus
-//! waiver bookkeeping ([`waivers`]) and machine-readable output
-//! ([`sarif`]). No dependencies, no registry, no nightly; same vendored
-//! ethos as the workspace's hand-rolled JSON layer.
+//! machine-readable output ([`sarif`]). No dependencies, no registry, no
+//! nightly; same vendored ethos as the workspace's hand-rolled JSON
+//! layer. Rules that are plain lists of banned std calls live in the
+//! root `clippy.toml` instead (see [Banned std calls](#banned-std-calls)).
 //!
 //! # Rule catalog
 //!
@@ -24,11 +25,9 @@
 //! | D04 | no `unwrap()` / bare `expect("")` in library code | a library panic kills a whole shard worker mid-stream; the workspace contract is typed errors (`LdpError`) or degradation (`ArmOutcome::Degenerate`). A justified `expect("<why this cannot fail>")` is allowed. | tests, examples, `crates/bench`, binary targets |
 //! | D05 | seed literals (`rng_from_seed(<int>)`) only in tests/benches/examples | production paths must derive per-purpose streams via `derive_seed2(master, …)`; a literal silently reuses one stream everywhere | tests, examples, `crates/bench` |
 //! | D08 | no single RNG drawn from in **two argument positions of one call** | Rust evaluates arguments left-to-right, so `f(rng.draw(), rng.draw())` works — until a refactor reorders, splits, or lifts the arguments and silently reshuffles the consumed stream (and every downstream draw). Bind the draws to sequential `let`s, or derive independent streams via `derive_seed2`. | tests, examples, `crates/bench`, binary targets |
-//! | D09 | artifact writes go through `ldp_common::write_atomic` | a bare `fs::write`/`File::create`/`fs::copy` leaves a torn half-file on crash, which checkpoint-resume and the golden gates would read as corrupt or silently truncated. Applies to binaries and `crates/bench` too — that is where artifacts get written. | tests, examples, test regions, the `write_atomic` impl (`crates/common/src/json.rs`), the lint manifest writer (`crates/lint/src/goldens.rs`) |
-//! | D10 | no `thread::spawn` / `.spawn(` outside the audited surface | all parallelism must flow through `map_trials*` (deterministic join order) and the stream coordinator; stray spawns are unaudited interleaving. Fires even in tests and binaries — the audit is about topology. | `crates/sim/src/runner.rs`, `crates/sim/src/stream/coordinator.rs` |
 //! | H01 | every crate root carries `#![forbid(unsafe_code)]` | the workspace is pure safe Rust; `forbid` makes that a compile error, this rule makes *removing the forbid* a lint error | — |
 //! | H02 | no `println!`/`eprintln!` in library code | library output must be returned (`String`/`Table`/JSON) so the CLI and bench binaries own the terminal; stray prints corrupt `--json` emissions | the CLI and other bins, `crates/bench`, tests, examples |
-//! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see `[[pure_root]]`) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure, waivable per edge via `[[edge_waiver]]` | test regions; bins/benches/tests never enter the graph |
+//! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see [`passes::DEFAULT_PURE_ROOTS`]) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure | test regions; bins/benches/tests never enter the graph |
 //! | P02 | **RNG stream discipline** | (a) one RNG feeding two calls in a single statement depends on evaluation order (inter-call complement of D08); (b) `rng.clone()` forks a stream into replayed draws (the η-sweep replay in `runner.rs` is the blessed exception); (c) an RNG captured by a closure handed to `map_trials`/`map_trials_with`/`thread::spawn` draws in scheduler order | tests, examples, `crates/bench`, binary targets |
 //!
 //! Run `ldp-lint --explain <RULE>` for the full rationale plus the
@@ -47,16 +46,20 @@
 //! are skipped, field-closure calls are invisible, and macro bodies are
 //! not expanded.
 //!
-//! # Waivers
+//! # Banned std calls
 //!
-//! `lint_waivers.toml` at the workspace root grants per-file-per-rule
-//! suppressions; each needs a `justification` and an `expires_pr` (see
-//! [`waivers`]). The same file declares the P01 configuration:
-//! `[[pure_root]]` entries (empty = the built-in
-//! [`passes::DEFAULT_PURE_ROOTS`]) and `[[edge_waiver]]` per-edge
-//! suppressions with the same freshness contract. `--check-waivers`
-//! fails on stale or unused entries of either kind, so waived debt
-//! cannot silently outlive its excuse.
+//! Atomic artifact writes (`fs::write`, `fs::copy`, `File::create`,
+//! `File::create_new` → `ldp_common::write_atomic`) and audited spawns
+//! (`thread::spawn`, `thread::Builder::spawn`, `thread::Scope::spawn`,
+//! `process::Command::spawn`) are enforced by clippy's
+//! `disallowed-methods`, configured in the root `clippy.toml`. Clippy
+//! resolves types and `use` aliases, which this lexer cannot. Each
+//! audited site carries a statement-level
+//! `#[expect(clippy::disallowed_methods, reason = "…")]`, so an exemption
+//! that stops matching fails CI as `unfulfilled_lint_expectations`.
+//!
+//! There are no waivers for the rules in this crate: a finding is fixed
+//! in the code.
 //!
 //! # Golden drift
 //!
@@ -78,9 +81,9 @@
 //! The lexer has no type information. D01 tracks only file-local
 //! bindings; D03 only fires when one operand is a float literal or an
 //! `as f64`/`as f32` cast; the RNG heuristic is the binding name. False
-//! negatives are possible; false positives are rare and waivable. The
-//! point is to catch the classic regression shapes cheaply and offline,
-//! not to re-implement rustc.
+//! negatives are possible; false positives are rare. The point is to
+//! catch the classic regression shapes cheaply and offline, not to
+//! re-implement rustc.
 
 pub mod callgraph;
 pub mod goldens;
@@ -90,35 +93,29 @@ pub mod rules;
 pub mod sarif;
 pub mod symbols;
 pub mod tree;
-pub mod waivers;
 
 pub use goldens::{bless_goldens, check_goldens, GOLDEN_DIRS, GOLDEN_MANIFEST};
 pub use rules::{lint_file, FileClass, Finding, RuleId};
 pub use sarif::render_sarif;
-pub use waivers::{
-    apply_waivers, check_edge_waivers, check_waivers, current_pr_from_changes, parse_config,
-    parse_waivers, render_waivers, EdgeWaiver, LintConfig, Waiver,
-};
 
 use std::path::{Path, PathBuf};
 
-/// A fatal lint-pass error (I/O, waiver-file syntax, or pass
-/// configuration) — distinct from findings, which are diagnostics about
-/// the code under analysis.
+/// A fatal lint-pass error (I/O or pass configuration) — distinct from
+/// findings, which are diagnostics about the code under analysis.
 #[derive(Debug)]
 pub enum LintError {
     /// Reading the tree or a file failed.
     Io(String),
-    /// `lint_waivers.toml` is malformed, or a pass's configuration
-    /// (e.g. a pure root) does not match the workspace.
-    Waivers(String),
+    /// A pass's configuration (e.g. a pure root) does not match the
+    /// workspace.
+    Config(String),
 }
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(m) => write!(f, "io error: {m}"),
-            LintError::Waivers(m) => write!(f, "config error: {m}"),
+            LintError::Config(m) => write!(f, "config error: {m}"),
         }
     }
 }
@@ -136,13 +133,8 @@ pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "vendor"];
 /// Everything one workspace scan produced.
 #[derive(Debug)]
 pub struct LintReport {
-    /// Findings no waiver covered, in (path, line, col) order.
+    /// Every finding, in (path, line, col) order.
     pub findings: Vec<Finding>,
-    /// Findings a waiver suppressed, with the waiver's index.
-    pub suppressed: Vec<(Finding, usize)>,
-    /// Per-`[[edge_waiver]]` "suppressed something this run" flags,
-    /// index-aligned with [`LintConfig::edge_waivers`].
-    pub edge_waivers_used: Vec<bool>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -182,21 +174,18 @@ fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
 
 /// Runs both analysis stages over in-memory `(rel_path, source)` pairs:
 /// the token-local rules per file, then the cross-file P01/P02 passes
-/// over the symbol table + call graph. `pure_roots` is the *effective*
-/// root list (empty = P01 traverses nothing; [`lint_workspace`] applies
-/// the [`passes::DEFAULT_PURE_ROOTS`] fallback before calling this).
-/// `crate_idents` maps `crates/<dir>` directory names to lib idents
-/// (see [`crate_ident_map`]); `root_ident` names the workspace-root
-/// package. Returns unwaived findings (sorted by path/line/col) plus
-/// the per-edge-waiver used flags. Errors when a pure root matches
-/// nothing.
+/// over the symbol table + call graph. `pure_roots` is the P01 root
+/// list (empty = P01 traverses nothing; [`lint_workspace`] passes
+/// [`passes::DEFAULT_PURE_ROOTS`]). `crate_idents` maps `crates/<dir>`
+/// directory names to lib idents (see [`crate_ident_map`]);
+/// `root_ident` names the workspace-root package. Returns the findings
+/// sorted by path/line/col. Errors when a pure root matches nothing.
 pub fn analyze_files(
     files: &[(String, String)],
-    pure_roots: &[String],
-    edge_waivers: &[EdgeWaiver],
+    pure_roots: &[&str],
     crate_idents: &[(String, String)],
     root_ident: &str,
-) -> Result<(Vec<Finding>, Vec<bool>), String> {
+) -> Result<Vec<Finding>, String> {
     let mut sources = Vec::with_capacity(files.len());
     let mut all: Vec<Finding> = Vec::new();
     for (rel, src) in files {
@@ -206,7 +195,7 @@ pub fn analyze_files(
     }
     let ws = symbols::Workspace::build(sources, crate_idents, root_ident);
     let cg = callgraph::CallGraph::build(&ws);
-    let (pass_findings, edge_used) = passes::run_passes(&ws, &cg, pure_roots, edge_waivers)?;
+    let pass_findings = passes::run_passes(&ws, &cg, pure_roots)?;
     for pf in pass_findings {
         let file = &ws.files[pf.file];
         let tok = &file.toks[pf.tok];
@@ -228,13 +217,12 @@ pub fn analyze_files(
     all.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    Ok((all, edge_used))
+    Ok(all)
 }
 
-/// Runs the full catalog (both stages) over the workspace at `root`,
-/// applying the waivers in `config`. Findings come back sorted by
-/// path/line/col.
-pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, LintError> {
+/// Runs the full catalog (both stages) over the workspace at `root`.
+/// Findings come back sorted by path/line/col.
+pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let paths = collect_files(root)?;
     let mut files = Vec::with_capacity(paths.len());
     for file in &paths {
@@ -244,28 +232,15 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, Li
     }
     let crate_idents = crate_ident_map(root);
     let root_ident = root_package_ident(root);
-    let default_roots: Vec<String> = passes::DEFAULT_PURE_ROOTS
-        .iter()
-        .map(|r| (*r).to_string())
-        .collect();
-    let pure_roots = if config.pure_roots.is_empty() {
-        &default_roots
-    } else {
-        &config.pure_roots
-    };
-    let (all, edge_waivers_used) = analyze_files(
+    let findings = analyze_files(
         &files,
-        pure_roots,
-        &config.edge_waivers,
+        &passes::DEFAULT_PURE_ROOTS,
         &crate_idents,
         &root_ident,
     )
-    .map_err(LintError::Waivers)?;
-    let (findings, suppressed) = waivers::apply_waivers(all, &config.waivers);
+    .map_err(LintError::Config)?;
     Ok(LintReport {
         findings,
-        suppressed,
-        edge_waivers_used,
         files_scanned: files.len(),
     })
 }
@@ -334,31 +309,6 @@ fn manifest_lib_ident(manifest: &str) -> Option<String> {
         }
     }
     lib_name.or(package_name).map(|n| n.replace('-', "_"))
-}
-
-/// Loads the full `lint_waivers.toml` config from the workspace root; a
-/// missing file means "all defaults", a malformed one is a hard error.
-pub fn load_config(path: &Path) -> Result<LintConfig, LintError> {
-    if !path.exists() {
-        return Ok(LintConfig::default());
-    }
-    let content = std::fs::read_to_string(path)
-        .map_err(|e| LintError::Io(format!("{}: {e}", path.display())))?;
-    waivers::parse_config(&content)
-        .map_err(|(line, msg)| LintError::Waivers(format!("{}:{line}: {msg}", path.display())))
-}
-
-/// Loads just the `[[waiver]]` entries (pre-P01 entry point, kept for
-/// compatibility with existing tooling).
-pub fn load_waivers(path: &Path) -> Result<Vec<Waiver>, LintError> {
-    load_config(path).map(|c| c.waivers)
-}
-
-/// Reads the in-flight PR number from `<root>/CHANGES.md` (see
-/// [`waivers::current_pr_from_changes`]); `None` when undeterminable.
-pub fn discover_current_pr(root: &Path) -> Option<u32> {
-    let content = std::fs::read_to_string(root.join("CHANGES.md")).ok()?;
-    waivers::current_pr_from_changes(&content)
 }
 
 /// Workspace-relative forward-slash path (falls back to the full path

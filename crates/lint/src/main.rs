@@ -1,16 +1,15 @@
 //! The `ldp-lint` binary: scans the workspace, prints findings as
 //! `path:line:col: [ID] message` (with the offending line) or as a
-//! SARIF 2.1.0 document (`--format sarif`), and — with `--check-waivers`
-//! — validates waiver and edge-waiver freshness. See the library docs
-//! for the rule catalog; `--explain <RULE>` prints one rule's full
-//! catalog entry with its bad/good fixture pair.
+//! SARIF 2.1.0 document (`--format sarif`), and — with `--check-goldens`
+//! — verifies blessed artifacts against `golden.manifest`. See the
+//! library docs for the rule catalog; `--explain <RULE>` prints one
+//! rule's full catalog entry with its bad/good fixture pair.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ldp_lint::{
-    bless_goldens, check_edge_waivers, check_goldens, check_waivers, discover_current_pr,
-    lint_workspace, load_config, render_sarif, RuleId, GOLDEN_MANIFEST,
+    bless_goldens, check_goldens, lint_workspace, render_sarif, RuleId, GOLDEN_MANIFEST,
 };
 
 const USAGE: &str = "\
@@ -19,9 +18,7 @@ ldp-lint — workspace determinism & hygiene lints
 USAGE: ldp-lint [OPTIONS]
 
 OPTIONS:
-    --deny             exit non-zero when any unwaived finding remains
-    --check-waivers    fail on stale or unused lint_waivers.toml entries
-                       (both [[waiver]] and [[edge_waiver]])
+    --deny             exit non-zero when any finding remains
     --check-goldens    fail when a blessed golden/trajectory file drifted
                        from golden.manifest
     --bless-goldens    regenerate golden.manifest from the tree and exit
@@ -30,10 +27,11 @@ OPTIONS:
     --explain <RULE>   print a rule's full catalog entry (rationale plus
                        the bad/good fixture pair) and exit
     --root <DIR>       workspace root (default: current directory)
-    --waivers <FILE>   waiver file (default: <root>/lint_waivers.toml)
-    --pr <N>           current PR number (default: derived from CHANGES.md)
     --list-rules       print the rule catalog and exit
     --help             print this help
+
+Atomic artifact writes and audited spawns are clippy's job: see the
+disallowed-methods list in clippy.toml.
 ";
 
 enum Format {
@@ -43,35 +41,28 @@ enum Format {
 
 struct Args {
     deny: bool,
-    check_waivers: bool,
     check_goldens: bool,
     bless_goldens: bool,
     format: Format,
     explain: Option<String>,
     root: PathBuf,
-    waivers: Option<PathBuf>,
-    pr: Option<u32>,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         deny: false,
-        check_waivers: false,
         check_goldens: false,
         bless_goldens: false,
         format: Format::Text,
         explain: None,
         root: PathBuf::from("."),
-        waivers: None,
-        pr: None,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--deny" => args.deny = true,
-            "--check-waivers" => args.check_waivers = true,
             "--check-goldens" => args.check_goldens = true,
             "--bless-goldens" => args.bless_goldens = true,
             "--list-rules" => args.list_rules = true,
@@ -88,13 +79,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a value")?);
-            }
-            "--waivers" => {
-                args.waivers = Some(PathBuf::from(it.next().ok_or("--waivers needs a value")?));
-            }
-            "--pr" => {
-                let v = it.next().ok_or("--pr needs a value")?;
-                args.pr = Some(v.parse().map_err(|_| format!("--pr: bad number `{v}`"))?);
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -164,18 +148,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let waiver_path = args
-        .waivers
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint_waivers.toml"));
-    let config = match load_config(&waiver_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("ldp-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match lint_workspace(&args.root, &config) {
+    let report = match lint_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ldp-lint: {e}");
@@ -183,7 +156,7 @@ fn main() -> ExitCode {
         }
     };
     // In SARIF mode stdout is the document; everything human-facing
-    // (findings as text, waiver errors, the summary) moves to stderr so
+    // (findings as text, golden drift, the summary) moves to stderr so
     // `ldp-lint --format sarif > lint.sarif` stays parseable.
     match args.format {
         Format::Text => {
@@ -203,19 +176,6 @@ fn main() -> ExitCode {
         Format::Sarif => eprintln!("{line}"),
     };
     let mut failed = false;
-    if args.check_waivers {
-        let current_pr = args.pr.or_else(|| discover_current_pr(&args.root));
-        let mut errors = check_waivers(&config.waivers, &report.suppressed, current_pr);
-        errors.extend(check_edge_waivers(
-            &config.edge_waivers,
-            &report.edge_waivers_used,
-            current_pr,
-        ));
-        for e in &errors {
-            diag(&format!("ldp-lint: {e}"));
-        }
-        failed |= !errors.is_empty();
-    }
     if args.check_goldens {
         match check_goldens(&args.root) {
             Ok(errors) => {
@@ -231,12 +191,9 @@ fn main() -> ExitCode {
         }
     }
     diag(&format!(
-        "ldp-lint: {} finding(s) ({} waived) across {} files, {} waiver(s) + {} edge waiver(s) on file",
+        "ldp-lint: {} finding(s) across {} files",
         report.findings.len(),
-        report.suppressed.len(),
-        report.files_scanned,
-        config.waivers.len(),
-        config.edge_waivers.len()
+        report.files_scanned
     ));
     failed |= args.deny && !report.findings.is_empty();
     if failed {

@@ -23,11 +23,6 @@ pub enum RuleId {
     D05,
     /// No single RNG drawn from in two argument positions of one call.
     D08,
-    /// Artifact writes go through `ldp_common::write_atomic`.
-    D09,
-    /// No `thread::spawn` outside the `map_trials*` internals and the
-    /// stream coordinator.
-    D10,
     /// Every crate root carries `#![forbid(unsafe_code)]`.
     H01,
     /// No `println!`/`eprintln!` outside the CLI, benches, and tests.
@@ -42,22 +37,20 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in catalog order.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::D01,
         RuleId::D02,
         RuleId::D03,
         RuleId::D04,
         RuleId::D05,
         RuleId::D08,
-        RuleId::D09,
-        RuleId::D10,
         RuleId::H01,
         RuleId::H02,
         RuleId::P01,
         RuleId::P02,
     ];
 
-    /// The stable id string (`"D01"`, …) used in output and waivers.
+    /// The stable id string (`"D01"`, …) used in output.
     pub fn id(self) -> &'static str {
         match self {
             RuleId::D01 => "D01",
@@ -66,8 +59,6 @@ impl RuleId {
             RuleId::D04 => "D04",
             RuleId::D05 => "D05",
             RuleId::D08 => "D08",
-            RuleId::D09 => "D09",
-            RuleId::D10 => "D10",
             RuleId::H01 => "H01",
             RuleId::H02 => "H02",
             RuleId::P01 => "P01",
@@ -84,8 +75,6 @@ impl RuleId {
             RuleId::D04 => "no unwrap()/bare expect(\"\") in non-test library code",
             RuleId::D05 => "rng_from_seed(<literal>) only in tests/benches/examples",
             RuleId::D08 => "no single RNG drawn from in two argument positions of one call",
-            RuleId::D09 => "artifact writes go through ldp_common::write_atomic",
-            RuleId::D10 => "no thread::spawn outside map_trials* internals and the coordinator",
             RuleId::H01 => "crate roots must carry #![forbid(unsafe_code)]",
             RuleId::H02 => "no println!/eprintln! outside the CLI, benches, and tests",
             RuleId::P01 => "pure-root call closures stay transitively free of ambient state",
@@ -135,23 +124,6 @@ impl RuleId {
                  reshuffles the consumed stream (and every downstream draw). Bind the draws \
                  to sequential `let`s, or derive independent streams via derive_seed2."
             }
-            RuleId::D09 => {
-                "A bare fs::write/File::create leaves a torn half-file on crash or \
-                 SIGKILL, which the checkpoint-resume and golden machinery would then read \
-                 as corrupt or — worse — silently truncated-but-parseable. \
-                 ldp_common::write_atomic (temp file + rename in the target directory) \
-                 makes every artifact either fully old or fully new. Tests and examples \
-                 write scratch files and are exempt; write_atomic's own implementation and \
-                 the lint crate's manifest writer are the blessed definition sites."
-            }
-            RuleId::D10 => {
-                "Threading topology is part of the determinism argument: the workspace \
-                 funnels all parallelism through map_trials/map_trials_with (which join in \
-                 deterministic trial order) and the stream coordinator's process workers. \
-                 A stray thread::spawn anywhere else introduces unaudited interleaving — \
-                 route the work through the runner, or extend the audited surface \
-                 deliberately."
-            }
             RuleId::H01 => {
                 "The workspace is pure safe Rust; #![forbid(unsafe_code)] turns that claim \
                  into a compile error, and this rule turns *removing the forbid* into a \
@@ -163,12 +135,13 @@ impl RuleId {
                  interleaves nondeterministically under parallel trials."
             }
             RuleId::P01 => {
-                "The cross-file purity pass: every function reachable from the declared \
-                 pure roots (shard_epoch_delta, run_experiment, checkpoint encode/decode — \
-                 see [[pure_root]] in lint_waivers.toml) must be transitively free of \
-                 D02-class ambient sources, environment reads, and interior-mutable \
-                 statics. Calls the conservative call graph cannot resolve are treated as \
-                 impure; suppress a single edge with [[edge_waiver]] + justification."
+                "The cross-file purity pass: every function reachable from the pure roots \
+                 (shard_epoch_delta, run_experiment, checkpoint encode/decode — see \
+                 passes::DEFAULT_PURE_ROOTS) must be transitively free of D02-class \
+                 ambient sources, environment reads, and interior-mutable statics. Calls \
+                 the conservative call graph cannot resolve are treated as impure; \
+                 simplify the path so it resolves, or move the call out of the pure \
+                 closure."
             }
             RuleId::P02 => {
                 "RNG stream discipline across the call graph: (a) one RNG feeding two \
@@ -193,8 +166,6 @@ impl RuleId {
             RuleId::D04 => include_str!("../fixtures/bad/d04.rs"),
             RuleId::D05 => include_str!("../fixtures/bad/d05.rs"),
             RuleId::D08 => include_str!("../fixtures/bad/d08.rs"),
-            RuleId::D09 => include_str!("../fixtures/bad/d09.rs"),
-            RuleId::D10 => include_str!("../fixtures/bad/d10.rs"),
             RuleId::H01 => include_str!("../fixtures/bad/h01.rs"),
             RuleId::H02 => include_str!("../fixtures/bad/h02.rs"),
             RuleId::P01 => include_str!("../fixtures/bad/p01.rs"),
@@ -212,8 +183,6 @@ impl RuleId {
             RuleId::D04 => include_str!("../fixtures/good/d04.rs"),
             RuleId::D05 => include_str!("../fixtures/good/d05.rs"),
             RuleId::D08 => include_str!("../fixtures/good/d08.rs"),
-            RuleId::D09 => include_str!("../fixtures/good/d09.rs"),
-            RuleId::D10 => include_str!("../fixtures/good/d10.rs"),
             RuleId::H01 => include_str!("../fixtures/good/h01.rs"),
             RuleId::H02 => include_str!("../fixtures/good/h02.rs"),
             RuleId::P01 => include_str!("../fixtures/good/p01.rs"),
@@ -424,8 +393,6 @@ pub fn lint_tokens(rel_path: &str, class: &FileClass, toks: &[Tok], src: &str) -
         rule_d04(class, toks, &mut emit);
         rule_d05(class, toks, &mut emit);
         rule_d08(class, toks, &mut emit);
-        rule_d09(class, toks, &mut emit, rel_path);
-        rule_d10(class, toks, &mut emit, rel_path);
         rule_h01(class, toks, &mut emit, rel_path);
         rule_h02(class, toks, &mut emit);
     }
@@ -818,97 +785,6 @@ fn rule_d08(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
     }
 }
 
-/// Files allowed to create/write files directly: the `write_atomic`
-/// implementation itself, and the lint crate's own manifest writer
-/// (which cannot depend on `ldp_common` and carries its own
-/// temp-and-rename).
-const D09_BLESSED: [&str; 2] = ["crates/common/src/json.rs", "crates/lint/src/goldens.rs"];
-
-/// D09 — artifact writes must go through `ldp_common::write_atomic`. A
-/// bare `fs::write`/`File::create` leaves a torn half-file on crash,
-/// which checkpoint-resume and the golden gates would read as corrupt
-/// (or worse, truncated-but-parseable). Unlike most rules this one
-/// applies to binaries and `crates/bench` too — the CLI and the bench
-/// gate are exactly where artifacts get written.
-fn rule_d09(
-    class: &FileClass,
-    toks: &[Tok],
-    emit: &mut impl FnMut(&Tok, RuleId, String),
-    rel_path: &str,
-) {
-    if class.test_file || class.example || D09_BLESSED.contains(&rel_path) {
-        return;
-    }
-    for (k, t) in toks.iter().enumerate() {
-        if t.in_test || t.kind != TokKind::Ident || k < 2 {
-            continue;
-        }
-        if !toks.get(k + 1).is_some_and(|n| n.is_punct("(")) || !toks[k - 1].is_punct("::") {
-            continue;
-        }
-        let head = &toks[k - 2];
-        let writes = (head.is_ident("fs") && (t.text == "write" || t.text == "copy"))
-            || (head.is_ident("File") && (t.text == "create" || t.text == "create_new"));
-        if writes {
-            emit(
-                t,
-                RuleId::D09,
-                format!(
-                    "`{}::{}` writes a file non-atomically — a crash mid-write leaves a \
-                     torn artifact; route it through ldp_common::write_atomic (temp file \
-                     + rename)",
-                    head.text, t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Files allowed to spawn threads/processes: the trial fan-out
-/// internals and the multi-process stream coordinator.
-const D10_ALLOWED: [&str; 2] = [
-    "crates/sim/src/runner.rs",
-    "crates/sim/src/stream/coordinator.rs",
-];
-
-/// D10 — thread-spawn audit. All parallelism must flow through the
-/// audited surfaces (`map_trials*`, the stream coordinator) whose join
-/// order is deterministic; any other `thread::spawn` / `.spawn(` is
-/// unaudited interleaving. Deliberately fires in tests and binaries
-/// too: the audit is about topology, not output.
-fn rule_d10(
-    class: &FileClass,
-    toks: &[Tok],
-    emit: &mut impl FnMut(&Tok, RuleId, String),
-    rel_path: &str,
-) {
-    let _ = class;
-    if D10_ALLOWED.contains(&rel_path) {
-        return;
-    }
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || !t.is_ident("spawn")
-            || !toks.get(k + 1).is_some_and(|n| n.is_punct("("))
-            || k == 0
-        {
-            continue;
-        }
-        let path_spawn = k >= 2 && toks[k - 1].is_punct("::") && toks[k - 2].is_ident("thread");
-        let method_spawn = toks[k - 1].is_punct(".");
-        if path_spawn || method_spawn {
-            emit(
-                t,
-                RuleId::D10,
-                "thread/process spawn outside the audited surface (map_trials* internals, \
-                 stream/coordinator.rs) — route parallel work through the runner, or \
-                 extend the audited file list deliberately"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 /// H01 — crate roots must carry `#![forbid(unsafe_code)]`.
 fn rule_h01(
     class: &FileClass,
@@ -1183,50 +1059,6 @@ mod tests {
         assert!(rules_on("crates/sim/src/bin/ldp.rs", src).is_empty());
         assert!(rules_on("tests/foo.rs", src).is_empty());
         assert!(rules_on("examples/demo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn bare_writes_fire_and_blessed_sites_are_exempt() {
-        let src = "pub fn save(p: &std::path::Path, s: &str) {\n\
-                       std::fs::write(p, s).ok();\n\
-                       let _ = std::fs::File::create(p);\n\
-                   }\n";
-        assert_eq!(rules_on(LIB, src), [(2, "D09"), (3, "D09")]);
-        // Bins and the bench crate DO get checked — artifacts are
-        // written exactly there.
-        assert_eq!(
-            rules_on("crates/bench/src/bin/bench_gate.rs", src),
-            [(2, "D09"), (3, "D09")]
-        );
-        // Tests, test regions, and the two blessed impl sites are exempt.
-        assert!(rules_on("crates/sim/tests/golden.rs", src).is_empty());
-        assert!(rules_on(LIB, "#[test]\nfn t() { std::fs::write(p, s).ok(); }\n").is_empty());
-        assert!(rules_on("crates/common/src/json.rs", src).is_empty());
-        assert!(rules_on("crates/lint/src/goldens.rs", src).is_empty());
-    }
-
-    #[test]
-    fn fs_copy_counts_as_a_write() {
-        let src = "pub fn promote(a: &P, b: &P) { std::fs::copy(a, b).ok(); }\n";
-        assert_eq!(rules_on(LIB, src), [(1, "D09")]);
-    }
-
-    #[test]
-    fn spawn_fires_everywhere_except_the_audited_files() {
-        let src = "pub fn go() {\n\
-                       std::thread::spawn(|| {});\n\
-                       let _ = scope.spawn(|| {});\n\
-                   }\n";
-        assert_eq!(rules_on(LIB, src), [(2, "D10"), (3, "D10")]);
-        // D10 deliberately fires in tests and bins too.
-        assert_eq!(
-            rules_on(LIB, "#[test]\nfn t() { std::thread::spawn(|| {}); }\n"),
-            [(2, "D10")]
-        );
-        assert!(rules_on("crates/sim/src/runner.rs", src).is_empty());
-        assert!(rules_on("crates/sim/src/stream/coordinator.rs", src).is_empty());
-        // A fn *named* spawn, called bare, is not a spawn site.
-        assert!(rules_on(LIB, "pub fn go() { spawn(); }\nfn spawn() {}\n").is_empty());
     }
 
     #[test]

@@ -105,9 +105,8 @@ fn pure_roots(unit: &Unit) -> Vec<String> {
 /// Runs both analysis stages on one unit.
 fn analyze_unit(unit: &Unit) -> Vec<ldp_lint::Finding> {
     let roots = pure_roots(unit);
-    let (findings, _) = analyze_files(&unit.files, &roots, &[], &[], "fixroot")
-        .expect("fixture pure roots must resolve");
-    findings
+    let roots: Vec<&str> = roots.iter().map(String::as_str).collect();
+    analyze_files(&unit.files, &roots, &[], "fixroot").expect("fixture pure roots must resolve")
 }
 
 /// Parses `//~ <ID> [<ID>…]` markers: (file label, 1-based line, rule id).
@@ -221,4 +220,38 @@ fn finding_render_format_is_path_line_col_id_message() {
         rendered.ends_with("| pub fn f() { Some(1).unwrap(); }"),
         "offending line missing: {rendered}"
     );
+}
+
+// Guards for the `disallowed-methods` list in the root `clippy.toml`,
+// which took over the atomic-write and audited-spawn rules. Each banned
+// path that no audited `#[expect]` in the tree already exercises gets
+// one uncalled probe here: if its entry is dropped from the config, CI's
+// `cargo clippy --all-targets -- -D warnings` fails on the unfulfilled
+// expectation.
+mod clippy_config_guards {
+    #![expect(dead_code, reason = "the probes only need to type-check")]
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "guard: clippy.toml must keep banning std::fs::copy"
+    )]
+    fn guard_fs_copy() -> std::io::Result<u64> {
+        std::fs::copy("src", "dst")
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "guard: clippy.toml must keep banning std::fs::File::create_new"
+    )]
+    fn guard_file_create_new() -> std::io::Result<std::fs::File> {
+        std::fs::File::create_new("dst")
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "guard: clippy.toml must keep banning std::thread::Builder::spawn"
+    )]
+    fn guard_thread_builder_spawn() -> std::io::Result<std::thread::JoinHandle<()>> {
+        std::thread::Builder::new().spawn(|| {})
+    }
 }

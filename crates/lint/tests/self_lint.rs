@@ -1,16 +1,13 @@
 //! Self-lint: plain `cargo test` runs the full rule catalog — both the
 //! token-local rules and the cross-file P01/P02 passes — over the live
 //! workspace, so a determinism/hygiene regression fails the tier-1 gate
-//! locally. CI's `ldp-lint --deny --check-waivers` step is the same
+//! locally. CI's `ldp-lint --deny --check-goldens` step is the same
 //! check with a nicer log, and the SARIF round-trip test locks the
 //! machine-readable emission to the text renderer's finding multiset.
 
 use std::path::{Path, PathBuf};
 
-use ldp_lint::{
-    check_edge_waivers, check_waivers, discover_current_pr, lint_workspace, load_config,
-    render_sarif, LintReport,
-};
+use ldp_lint::{lint_workspace, render_sarif};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -19,16 +16,10 @@ fn workspace_root() -> PathBuf {
         .expect("crates/lint/../.. is the workspace root")
 }
 
-fn live_report(root: &Path) -> (ldp_lint::LintConfig, LintReport) {
-    let config = load_config(&root.join("lint_waivers.toml")).expect("waiver file parses");
-    let report = lint_workspace(root, &config).expect("workspace scan succeeds");
-    (config, report)
-}
-
 #[test]
-fn workspace_lints_clean_with_fresh_waivers() {
+fn workspace_lints_clean() {
     let root = workspace_root();
-    let (config, report) = live_report(&root);
+    let report = lint_workspace(&root).expect("workspace scan succeeds");
     assert!(
         report.files_scanned > 100,
         "suspiciously few files scanned ({}) — walker broke?",
@@ -36,29 +27,13 @@ fn workspace_lints_clean_with_fresh_waivers() {
     );
     assert!(
         report.findings.is_empty(),
-        "unwaived lint findings:\n{}",
+        "lint findings:\n{}",
         report
             .findings
             .iter()
             .map(ldp_lint::Finding::render)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    let current_pr = discover_current_pr(&root);
-    assert!(
-        current_pr.is_some(),
-        "CHANGES.md must yield a current PR number for waiver expiry"
-    );
-    let mut errors = check_waivers(&config.waivers, &report.suppressed, current_pr);
-    errors.extend(check_edge_waivers(
-        &config.edge_waivers,
-        &report.edge_waivers_used,
-        current_pr,
-    ));
-    assert!(
-        errors.is_empty(),
-        "waiver check failed:\n{}",
-        errors.join("\n")
     );
 }
 
@@ -70,8 +45,9 @@ fn sarif_round_trips_the_text_finding_multiset() {
     // dropped. Findings are injected artificially (the live tree lints
     // clean), plus the live report's multiset for good measure.
     let root = workspace_root();
-    let (_, report) = live_report(&root);
-    let mut findings = report.findings;
+    let mut findings = lint_workspace(&root)
+        .expect("workspace scan succeeds")
+        .findings;
     let fixture = "pub fn f() { Some(1).unwrap(); }\npub fn g() { println!(\"x\"); }\n";
     findings.extend(ldp_lint::lint_file("crates/fixturecrate/src/x.rs", fixture));
     assert!(

@@ -1183,7 +1183,7 @@ mod tests {
         assert!(err.contains("does not exist"), "{err}");
         // A parent that exists but is a file is just as unwritable.
         let file_parent = tmp.join("ldp-parent-is-a-file");
-        std::fs::write(&file_parent, "x").unwrap();
+        ldp_common::write_atomic(&file_parent, "x").unwrap();
         assert!(validate_output_parent("--json", &file_parent.join("out.json")).is_err());
         std::fs::remove_file(&file_parent).unwrap();
     }

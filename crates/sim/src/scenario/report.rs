@@ -296,7 +296,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ldp_report_write_json_atomic_test");
         std::fs::create_dir_all(&dir).unwrap();
         let target = dir.join("figX.json");
-        std::fs::write(&target, "{\"stale\": true}").unwrap();
+        ldp_common::write_atomic(&target, "{\"stale\": true}").unwrap();
         let written = report().write_json(&target, false).unwrap();
         assert_eq!(written, target);
         let body = std::fs::read_to_string(&target).unwrap();

@@ -131,6 +131,10 @@ impl WorkerSlot {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the audited shard-worker spawn: the coordinator owns every worker process"
+        )]
         let mut child = command.spawn().map_err(|e| {
             LdpError::invalid(format!(
                 "worker {}: spawning {}: {e}",
@@ -148,6 +152,10 @@ impl WorkerSlot {
             .take()
             .ok_or_else(|| LdpError::invalid("worker stdout not piped"))?;
         let (tx, frames) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the audited per-worker frame reader: it only forwards frames into the channel the coordinator drains"
+        )]
         std::thread::spawn(move || drain_frames(&mut stdout, &tx));
         self.process = Some(WorkerProcess {
             child,
@@ -344,6 +352,10 @@ where
             std::thread::scope(|scope| {
                 for (slot, shards) in slots.iter_mut().zip(&assignments) {
                     let tx = tx.clone();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the audited per-slot request thread: deltas merge as a monoid, so arrival order cannot change the result"
+                    )]
                     scope.spawn(move || {
                         for &shard in shards {
                             let work = WorkerRequest::Work { spec, shard, epoch };

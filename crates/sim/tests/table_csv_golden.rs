@@ -30,7 +30,7 @@ fn render_csv_matches_golden() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/render_csv.golden");
     if std::env::var_os("LDP_BLESS_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        ldp_common::write_atomic(&path, &got).unwrap();
     }
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(

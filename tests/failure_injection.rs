@@ -89,7 +89,7 @@ fn dataset_loader_reports_line_numbers() {
     let dir = std::env::temp_dir().join("ldprecover-failure-injection");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bad.txt");
-    std::fs::write(&path, "0\n1\noops\n2\n").unwrap();
+    ldp_common::write_atomic(&path, "0\n1\noops\n2\n").unwrap();
     let err =
         ldp_datasets::Dataset::from_item_file("bad", Domain::new(5).unwrap(), &path).unwrap_err();
     match err {

@@ -35,7 +35,7 @@ fn check(id: &str) {
     if std::env::var_os("LDP_BLESS_GOLDENS").is_some() {
         let golden = Golden::from_report(&report);
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-        std::fs::write(&path, golden.to_json().render()).expect("write golden");
+        ldp_common::write_atomic(&path, &golden.to_json().render()).expect("write golden");
         // A freshly blessed golden must accept the report it came from.
         assert!(golden.compare(&report).is_empty(), "{id}: bless is broken");
         return;
