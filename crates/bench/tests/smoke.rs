@@ -1,14 +1,10 @@
 //! Smoke tests for the figure/table reproductions: every catalog scenario
-//! runs end to end, in-process, at a miniature scale.
-//!
-//! These used to spawn the real binaries behind `#[ignore]`; since the
-//! binaries are now thin shells over the shared scenario engine, the same
-//! pipelines run directly through `run_scenario` — one tiny trial per
-//! cell — inside plain `cargo test -q`. Binary-level flag handling keeps
-//! two `#[ignore]`-gated spawn tests below.
+//! runs end to end, in-process, at a miniature scale — one tiny trial per
+//! cell — through the `run_scenario` engine that `ldp repro` drives. Flag
+//! handling of `ldp repro` is covered by the `ldp` binary's unit tests and
+//! the `#[ignore]`-gated spawn tests in `crates/sim/tests/cli_smoke.rs`.
 
 use ldp_sim::scenario::{catalog, run_scenario, RunScale, ScaleSpec};
-use std::process::Command;
 
 /// Runs one catalog figure with a single tiny trial per cell and asserts
 /// a structurally complete report.
@@ -66,58 +62,11 @@ smoke_tests! {
 
 #[test]
 fn repro_covers_every_figure_exactly_once() {
-    // The `repro` binary iterates FIGURE_IDS verbatim; guard the index.
+    // `ldp repro --figure all` iterates FIGURE_IDS verbatim; guard the index.
     let mut seen = std::collections::HashSet::new();
     for id in catalog::FIGURE_IDS {
         assert!(seen.insert(id), "duplicate figure id {id}");
         catalog::scenario(id).unwrap();
     }
     assert_eq!(seen.len(), 14);
-}
-
-#[test]
-#[ignore = "spawns the repro binaries; run with --ignored"]
-fn binaries_reject_malformed_flags() {
-    // Arg parsing must fail loudly, not fall through to defaults.
-    for (bin, args) in [
-        (env!("CARGO_BIN_EXE_fig3"), ["--frobnicate"].as_slice()),
-        (env!("CARGO_BIN_EXE_table1"), ["--trials", "0"].as_slice()),
-        (env!("CARGO_BIN_EXE_repro"), ["--scale", "2.0"].as_slice()),
-        (
-            env!("CARGO_BIN_EXE_repro"),
-            ["--scale", "medium"].as_slice(),
-        ),
-    ] {
-        let output = Command::new(bin).args(args).output().expect("spawn");
-        assert!(
-            !output.status.success(),
-            "{bin} {args:?} should exit non-zero"
-        );
-    }
-}
-
-#[test]
-#[ignore = "spawns the fig3 binary; run with --ignored"]
-fn csv_and_json_modes_emit_structured_output() {
-    let dir = std::env::temp_dir().join("ldprecover-smoke-json");
-    let json_path = dir.join("fig3.json");
-    let _ = std::fs::remove_file(&json_path);
-    let output = Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .args(["--trials", "1", "--scale", "0.002", "--csv"])
-        .arg("--json")
-        .arg(&json_path)
-        .output()
-        .expect("spawn fig3");
-    assert!(
-        output.status.success(),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        stdout.lines().any(|l| l.matches(',').count() >= 2),
-        "--csv produced no comma-separated rows:\n{stdout}"
-    );
-    let json = std::fs::read_to_string(&json_path).expect("json report written");
-    assert!(json.contains("\"figure\": \"fig3\""), "{json}");
 }

@@ -97,10 +97,6 @@ impl LdpFrequencyProtocol for Grr {
     ) -> Option<Vec<u64>> {
         Some(self.batch_support_counts(item_counts, rng))
     }
-
-    fn is_closed_form(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

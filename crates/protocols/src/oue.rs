@@ -116,10 +116,6 @@ impl LdpFrequencyProtocol for Oue {
     ) -> Option<Vec<u64>> {
         Some(self.batch_support_counts(item_counts, rng))
     }
-
-    fn is_closed_form(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

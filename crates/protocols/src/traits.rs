@@ -71,9 +71,9 @@ pub trait LdpFrequencyProtocol {
     /// item `v`, exactly distributed as running [`Self::perturb`] +
     /// [`Self::accumulate`] per user (see `crate::batch`).
     ///
-    /// Returns `Some` **iff the protocol has a closed-form count sampler**
-    /// (i.e. [`Self::is_closed_form`] is `true`); `None` — the default —
-    /// sends callers to the grouped per-user fallback
+    /// Returns `Some` when the protocol has a closed-form count sampler,
+    /// as all five built-in protocols do; `None` — the default — sends
+    /// callers to the grouped per-user fallback
     /// (`crate::batch::grouped_support_counts`). Batched and per-user
     /// paths consume different RNG draws, so they are statistically, not
     /// bitwise, interchangeable.
@@ -87,15 +87,5 @@ pub trait LdpFrequencyProtocol {
     ) -> Option<Vec<u64>> {
         let _ = (item_counts, rng);
         None
-    }
-
-    /// Whether [`Self::batch_aggregate`] is a genuine closed-form count
-    /// sampler (`O(d)`–`O(d·log n)`, no per-user loop). `false` — the
-    /// default — means batched callers run the grouped per-user fallback,
-    /// so "batched" buys bookkeeping but not asymptotics; reporting and
-    /// bench labels use this to stay truthful about which one they
-    /// measured. Contract: `is_closed_form() == batch_aggregate(..).is_some()`.
-    fn is_closed_form(&self) -> bool {
-        false
     }
 }

@@ -225,6 +225,9 @@ fn parse_repro_args<I: Iterator<Item = String>>(mut iter: I) -> Result<ReproArgs
             other => return Err(LdpError::invalid(format!("unknown flag '{other}'"))),
         }
     }
+    if args.trials == Some(0) {
+        return Err(LdpError::invalid("--trials must be ≥ 1"));
+    }
     Ok(args)
 }
 
@@ -966,6 +969,10 @@ mod tests {
         assert!(parse_repro(&["--scale", "huge"]).is_err());
         assert!(parse_repro(&["--figure"]).is_err());
         assert!(parse_repro(&["--frobnicate"]).is_err());
+        assert!(parse_repro(&["--trials", "zero"]).is_err());
+        assert!(parse_repro(&["--scale", "2.0"]).is_err());
+        let err = parse_repro(&["--trials", "0"]).err().expect("--trials 0");
+        assert!(err.to_string().contains("--trials"), "{err}");
     }
 
     fn parse_stream(args: &[&str]) -> Result<StreamArgs> {

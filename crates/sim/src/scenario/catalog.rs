@@ -2,9 +2,8 @@
 //! the ablation and key-value extension experiments) as declarative
 //! [`Scenario`] definitions.
 //!
-//! The `fig*` / `table1` / `ablations` / `kv_extension` binaries in
-//! `ldp-bench` are thin shells over this module: they parse flags, fetch
-//! their scenario by id, and hand it to
+//! `ldp repro --figure <id>` is a thin shell over this module: it parses
+//! flags, fetches the scenario by id, and hands it to
 //! [`run_scenario`](crate::scenario::run_scenario). The golden regression
 //! suite (`tests/golden_repro.rs`) runs the same definitions at the
 //! `small` preset, so the catalog — not any binary — is the single source

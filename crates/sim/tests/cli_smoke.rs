@@ -61,6 +61,23 @@ fn ldp_repro_subcommand_runs_one_figure() {
     assert!(stdout.contains("Table I"), "expected the table:\n{stdout}");
     let json = std::fs::read_to_string(&json_path).expect("json written");
     assert!(json.contains("\"figure\": \"table1\""));
+
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args([
+            "repro", "--figure", "table1", "--scale", "0.002", "--trials", "1", "--csv",
+        ])
+        .output()
+        .expect("spawn ldp repro --csv");
+    assert!(
+        output.status.success(),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.lines().any(|l| l.matches(',').count() >= 2),
+        "--csv produced no comma-separated rows:\n{stdout}"
+    );
 }
 
 #[test]

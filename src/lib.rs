@@ -2,8 +2,8 @@
 #![warn(missing_docs)]
 //! Umbrella crate for the LDPRecover (Sun et al., ICDE 2024) reproduction.
 //!
-//! This crate contains no logic of its own: it re-exports the eight
-//! workspace crates so the repository-level integration tests under
+//! This crate contains no logic of its own: it re-exports the seven
+//! library crates so the repository-level integration tests under
 //! `tests/` and the runnable `examples/` have a single dependency root,
 //! and so `cargo doc` renders one entry point covering the whole system.
 //!
@@ -18,10 +18,8 @@
 //! | [`ldp_datasets`] | IPUMS/Fire-shaped synthetic corpora and dataset loading |
 //! | [`ldp_kv`] | Key-value LDP extension (PrivKV-style protocol, M2GA, LDPRecover-KV) |
 //! | [`ldp_sim`] | Trial pipeline, multi-trial runner, metrics, table rendering |
-//! | [`ldp_bench`] | Experiment harness shared by the figure/table reproduction binaries |
 
 pub use ldp_attacks;
-pub use ldp_bench;
 pub use ldp_common;
 pub use ldp_datasets;
 pub use ldp_kv;
