@@ -53,7 +53,64 @@ pub enum AttackKind {
     },
 }
 
+/// Builds an attack from its size parameter.
+type FromSize = fn(usize) -> AttackKind;
+
+/// The attack table, the one source of each kind's names: its CLI and
+/// stream-checkpoint name, the label the paper's figures use, and how to
+/// build it from its size parameter (kinds without one ignore it).
+#[rustfmt::skip]
+const TABLE: [(&str, &str, FromSize); 7] = [
+    ("manip",       "Manip",   |h| AttackKind::Manip { h }),
+    ("mga",         "MGA",     |r| AttackKind::Mga { r }),
+    ("mga-sampled", "MGA-S",   |r| AttackKind::MgaSampled { r }),
+    ("aa",          "AA",      |_| AttackKind::Adaptive),
+    ("aa-camo",     "AA-C",    |_| AttackKind::AdaptiveCamouflaged),
+    ("mga-ipa",     "MGA-IPA", |r| AttackKind::MgaIpa { r }),
+    ("multi",       "MUL-AA",  |attackers| AttackKind::MultiAdaptive { attackers }),
+];
+
 impl AttackKind {
+    /// Builds the attack named `name` with size parameter `size` (see
+    /// [`AttackKind::size`]); `None` for a name outside the table.
+    pub fn from_name(name: &str, size: usize) -> Option<Self> {
+        TABLE
+            .iter()
+            .find(|(known, _, _)| *known == name)
+            .map(|(_, _, build)| build(size))
+    }
+
+    /// This kind's row of the attack table.
+    fn row(&self) -> &'static (&'static str, &'static str, FromSize) {
+        let size = self.size().map_or(0, |(_, n)| n);
+        TABLE
+            .iter()
+            .find(|(_, _, build)| build(size) == *self)
+            .expect("the attack table covers every kind")
+    }
+
+    /// The CLI and stream-checkpoint name (`mga`, `aa-camo`, …).
+    pub fn name(&self) -> &'static str {
+        self.row().0
+    }
+
+    /// The label the paper's figures use for this attack.
+    pub fn label(&self) -> String {
+        self.row().1.to_string()
+    }
+
+    /// The size parameter with its key: `h` for Manip, `r` for the MGA
+    /// family, `attackers` for Multi; `None` for the adaptive attacks. The
+    /// keys are stream-checkpoint member names.
+    pub fn size(&self) -> Option<(&'static str, usize)> {
+        match *self {
+            Self::Manip { h } => Some(("h", h)),
+            Self::Mga { r } | Self::MgaSampled { r } | Self::MgaIpa { r } => Some(("r", r)),
+            Self::MultiAdaptive { attackers } => Some(("attackers", attackers)),
+            Self::Adaptive | Self::AdaptiveCamouflaged => None,
+        }
+    }
+
     /// Instantiates the attack's per-trial randomized state.
     ///
     /// # Panics
@@ -84,19 +141,6 @@ impl AttackKind {
                     .collect();
                 Box::new(MultiAttack::new(boxed))
             }
-        }
-    }
-
-    /// The label the paper's figures use for this attack.
-    pub fn label(&self) -> String {
-        match *self {
-            AttackKind::Manip { .. } => "Manip".to_string(),
-            AttackKind::Mga { .. } => "MGA".to_string(),
-            AttackKind::MgaSampled { .. } => "MGA-S".to_string(),
-            AttackKind::Adaptive => "AA".to_string(),
-            AttackKind::AdaptiveCamouflaged => "AA-C".to_string(),
-            AttackKind::MgaIpa { .. } => "MGA-IPA".to_string(),
-            AttackKind::MultiAdaptive { .. } => "MUL-AA".to_string(),
         }
     }
 
@@ -137,7 +181,10 @@ mod tests {
                 assert_eq!(reports.len(), 25, "{kind:?} under {proto_kind:?}");
             }
             assert_eq!(kind.is_targeted(), attack.targets().is_some());
+            let size = kind.size().map_or(0, |(_, n)| n);
+            assert_eq!(AttackKind::from_name(kind.name(), size), Some(kind));
         }
+        assert_eq!(AttackKind::from_name("ddos", 1), None);
     }
 
     #[test]

@@ -6,19 +6,15 @@
 //! body of a `fn`, the argument list of a call, the block of a `mod`.
 //! Re-deriving that by depth-counting at every use site is both slow and
 //! easy to get subtly wrong, so this module computes it once per file:
-//!
-//! * [`delim_matches`] — a flat map from every opening delimiter token
-//!   index to its matching closer (and back), which is what most
-//!   consumers actually want;
-//! * [`build_forest`] — a recursive [`Node`] forest for consumers that
-//!   walk structure (currently the symbol-table module's `mod`-block
-//!   scoping).
+//! [`delim_matches`] maps every delimiter token index to its matching
+//! partner. The symbol table stores the map per file, and it and the call
+//! graph read `fn` bodies, parameter lists and call arguments from it.
 //!
 //! Angle brackets are deliberately **not** delimiters: `<`/`>` are
 //! operators in Rust's token stream (`a < b`, `->`), so generics nesting
-//! cannot be balanced at this level. The builder is total: unbalanced
-//! input (which rustc would reject anyway) degrades to unmatched leaves
-//! instead of failing.
+//! cannot be balanced at this level. The map is total: unbalanced input
+//! (which rustc would reject anyway) leaves the unbalanced delimiters
+//! unmatched instead of failing.
 
 use crate::lexer::Tok;
 
@@ -55,78 +51,9 @@ impl Delim {
     }
 }
 
-/// One node of the token tree: a plain token, or a delimited group.
-#[derive(Debug)]
-pub enum Node {
-    /// A non-delimiter token, by index into the lexed stream.
-    Leaf(usize),
-    /// A balanced group.
-    Group(Group),
-}
-
-/// A balanced delimiter group and its children.
-#[derive(Debug)]
-pub struct Group {
-    /// Which bracket pair.
-    pub delim: Delim,
-    /// Token index of the opener.
-    pub open: usize,
-    /// Token index of the closer; `None` when the input ran out first.
-    pub close: Option<usize>,
-    /// Nested structure between the delimiters.
-    pub children: Vec<Node>,
-}
-
-/// Builds the nesting forest for a whole token stream.
-///
-/// Mismatched closers (e.g. a stray `)` inside a `{` block) are treated
-/// as leaves, so one bad token cannot swallow the rest of the file.
-pub fn build_forest(toks: &[Tok]) -> Vec<Node> {
-    let mut i = 0usize;
-    parse_nodes(toks, &mut i, None)
-}
-
-fn parse_nodes(toks: &[Tok], i: &mut usize, closing: Option<Delim>) -> Vec<Node> {
-    let mut out = Vec::new();
-    while *i < toks.len() {
-        let t = &toks[*i];
-        if let Some(d) = Delim::from_close(t) {
-            if Some(d) == closing {
-                return out; // caller consumes the closer
-            }
-            // Mismatched closer: degrade to a leaf.
-            out.push(Node::Leaf(*i));
-            *i += 1;
-            continue;
-        }
-        if let Some(d) = Delim::from_open(t) {
-            let open = *i;
-            *i += 1;
-            let children = parse_nodes(toks, i, Some(d));
-            let close = if *i < toks.len() && Delim::from_close(&toks[*i]) == Some(d) {
-                let c = *i;
-                *i += 1;
-                Some(c)
-            } else {
-                None
-            };
-            out.push(Node::Group(Group {
-                delim: d,
-                open,
-                close,
-                children,
-            }));
-            continue;
-        }
-        out.push(Node::Leaf(*i));
-        *i += 1;
-    }
-    out
-}
-
 /// For every token index: the index of its matching partner delimiter
 /// (`open → close` **and** `close → open`), or `None` for non-delimiter
-/// or unmatched tokens. This is the flat view most passes consume.
+/// or unmatched tokens.
 pub fn delim_matches(toks: &[Tok]) -> Vec<Option<usize>> {
     let mut matches = vec![None; toks.len()];
     let mut stack: Vec<(Delim, usize)> = Vec::new();
@@ -135,7 +62,7 @@ pub fn delim_matches(toks: &[Tok]) -> Vec<Option<usize>> {
             stack.push((d, k));
         } else if let Some(d) = Delim::from_close(t) {
             // Pop until a matching opener; non-matching openers stay
-            // unmatched (same degradation as the forest builder).
+            // unmatched.
             if let Some(pos) = stack.iter().rposition(|&(sd, _)| sd == d) {
                 let (_, open) = stack[pos];
                 stack.truncate(pos);
@@ -169,23 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn forest_mirrors_nesting() {
-        let toks = lex("a { b ( c ) } d");
-        let forest = build_forest(&toks);
-        assert_eq!(forest.len(), 3); // a, {…}, d
-        let Node::Group(g) = &forest[1] else {
-            panic!("expected group");
-        };
-        assert_eq!(g.delim, Delim::Brace);
-        assert!(g.close.is_some());
-        assert_eq!(g.children.len(), 2); // b, (…)
-    }
-
-    #[test]
     fn unbalanced_input_degrades_instead_of_failing() {
         let toks = lex("f ( a } b");
-        let forest = build_forest(&toks);
-        assert!(!forest.is_empty());
         let m = delim_matches(&toks);
         let open = toks.iter().position(|t| t.is_punct("(")).unwrap();
         assert_eq!(m[open], None, "unclosed paren stays unmatched");

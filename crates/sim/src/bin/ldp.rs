@@ -22,13 +22,12 @@ use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::{DatasetKind, ScalePreset};
 use ldp_protocols::ProtocolKind;
 use ldp_sim::scenario::{catalog, run_scenario, RunScale, ScaleSpec};
+use ldp_sim::stream::checkpoint::spec_to_json;
 use ldp_sim::stream::coordinator::{self, CoordinatorConfig, WorkerLauncher};
 use ldp_sim::stream::worker::{run_worker, FaultPlan};
 use ldp_sim::stream::{StreamEngine, StreamSpec, WindowMode};
 use ldp_sim::table::{fmt_mean, fmt_stat};
-use ldp_sim::{
-    run_experiment, AggregationMode, ExperimentConfig, PipelineOptions, Table, DEFAULT_SEED,
-};
+use ldp_sim::{run_experiment, ExperimentConfig, PipelineOptions, Table, DEFAULT_SEED};
 use ldprecover::{ArmKind, ArmSet};
 
 const USAGE: &str = "\
@@ -49,127 +48,181 @@ options:
   --epsilon F                   privacy budget          [0.5]
   --trials N                    trials to average       [5]
   --scale F                     population scale (0,1]  [0.1]
-  --seed N                      master seed             [0x1db05eed]
-  --aggregation per-user|batched|auto
-                                genuine-user aggregation [auto]
+  --seed N|0xHEX                master seed             [0x1db05eed]
   --arms a,b,c                  defense arms to run, from the registry:
                                 recover, recover-star, detection, kmeans,
                                 recover-km, norm-sub, base-cut
                                 [default: full comparison when attacked]
+                                (batched aggregation unless one needs reports)
   --csv                         CSV output
   --help                        this text";
 
+/// Parsed `ldp` options.
 struct Args {
-    dataset: DatasetKind,
-    protocol: ProtocolKind,
-    attack: Option<AttackKind>,
-    targets: usize,
-    attackers: usize,
-    beta: f64,
-    eta: f64,
-    epsilon: f64,
-    trials: usize,
-    scale: f64,
-    seed: u64,
-    aggregation: AggregationMode,
+    config: ExperimentConfig,
     arms: Option<ArmSet>,
     csv: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            dataset: DatasetKind::Ipums,
-            protocol: ProtocolKind::Grr,
-            attack: Some(AttackKind::Adaptive),
+fn parse_args<I: Iterator<Item = String>>(iter: I) -> Result<Args> {
+    let mut cell = CellFlags::new(DEFAULT_SPEC);
+    let (mut trials, mut scale, mut arms, mut csv) = (5, 0.1, None, false);
+    for_each_flag(iter, USAGE, |flag, value| {
+        match flag {
+            "--trials" => trials = parse(&value()?, flag)?,
+            "--scale" => scale = parse(&value()?, flag)?,
+            "--arms" => arms = Some(ArmSet::parse(&value()?)?),
+            "--csv" => csv = true,
+            _ => return cell.apply(flag, value),
+        }
+        Ok(true)
+    })?;
+    let cell = cell.finish();
+    let config = ExperimentConfig {
+        dataset: cell.dataset,
+        protocol: cell.protocol,
+        epsilon: cell.epsilon,
+        attack: cell.attack,
+        beta: cell.beta,
+        eta: cell.eta,
+        trials,
+        scale,
+        seed: cell.seed,
+    };
+    Ok(Args { config, arms, csv })
+}
+
+/// The cell defaults `ldp` and `ldp stream` share, plus the stream shape
+/// `ldp stream` starts from.
+const DEFAULT_SPEC: StreamSpec = StreamSpec {
+    dataset: DatasetKind::Ipums,
+    protocol: ProtocolKind::Grr,
+    attack: Some(AttackKind::Adaptive),
+    epsilon: 0.5,
+    beta: 0.05,
+    eta: 0.2,
+    shards: 4,
+    epochs: 8,
+    users_per_epoch: 5000,
+    seed: DEFAULT_SEED,
+    window: WindowMode::Cumulative,
+};
+
+/// The one parser of the nine cell flags `--dataset --protocol --attack
+/// --targets --attackers --beta --eta --epsilon --seed`, shared by `ldp`
+/// and `ldp stream`. It edits a spec it is seeded from — the defaults, or
+/// on `--resume` the checkpoint's — so a flag that restates the seed's
+/// value changes nothing.
+struct CellFlags {
+    spec: StreamSpec,
+    /// The `--attack` kind, sized from `--targets`/`--attackers` last so
+    /// the flags work in any order.
+    attack: Option<AttackKind>,
+    /// `--targets`: the size of every attack but `multi`.
+    targets: usize,
+    /// `--attackers`: the size of `multi`.
+    attackers: usize,
+}
+
+impl CellFlags {
+    fn new(spec: StreamSpec) -> Self {
+        let mut cell = CellFlags {
+            spec,
+            attack: spec.attack,
             targets: 10,
             attackers: 5,
-            beta: 0.05,
-            eta: 0.2,
-            epsilon: 0.5,
-            trials: 5,
-            scale: 0.1,
-            seed: 0x1DB0_5EED,
-            aggregation: AggregationMode::Auto,
-            arms: None,
-            csv: false,
-        }
-    }
-}
-
-fn parse_args<I: Iterator<Item = String>>(mut iter: I) -> Result<Args> {
-    let mut args = Args::default();
-    let mut attack_name = "aa".to_string();
-    let mut explicit_none = false;
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String> {
-            iter.next()
-                .ok_or_else(|| LdpError::invalid(format!("{name} requires a value")))
         };
-        match flag.as_str() {
-            "--dataset" => {
-                args.dataset = match value("--dataset")?.to_ascii_lowercase().as_str() {
-                    "ipums" => DatasetKind::Ipums,
-                    "fire" => DatasetKind::Fire,
-                    other => return Err(LdpError::invalid(format!("unknown dataset '{other}'"))),
-                };
-            }
-            "--protocol" => args.protocol = ProtocolKind::parse(&value("--protocol")?)?,
-            "--attack" => {
-                attack_name = value("--attack")?.to_ascii_lowercase();
-                explicit_none = attack_name == "none";
-            }
-            "--targets" => args.targets = parse_num(&value("--targets")?, "--targets")?,
-            "--attackers" => args.attackers = parse_num(&value("--attackers")?, "--attackers")?,
-            "--beta" => args.beta = parse_f64(&value("--beta")?, "--beta")?,
-            "--eta" => args.eta = parse_f64(&value("--eta")?, "--eta")?,
-            "--epsilon" => args.epsilon = parse_f64(&value("--epsilon")?, "--epsilon")?,
-            "--trials" => args.trials = parse_num(&value("--trials")?, "--trials")?,
-            "--scale" => args.scale = parse_f64(&value("--scale")?, "--scale")?,
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
-            "--aggregation" => {
-                args.aggregation = AggregationMode::parse(&value("--aggregation")?)?;
-            }
-            "--arms" => args.arms = Some(ArmSet::parse(&value("--arms")?)?),
-            "--csv" => args.csv = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(LdpError::invalid(format!("unknown flag '{other}'"))),
+        if let Some((key, size)) = spec.attack.and_then(|attack| attack.size()) {
+            *cell.size_flag(key) = size;
+        }
+        cell
+    }
+
+    /// The flag that sizes an attack whose size key is `key`.
+    fn size_flag(&mut self, key: &str) -> &mut usize {
+        if key == "attackers" {
+            &mut self.attackers
+        } else {
+            &mut self.targets
         }
     }
-    args.attack = resolve_attack(&attack_name, args.targets, args.attackers)?;
-    if explicit_none {
-        args.beta = 0.0;
+
+    /// Applies `flag` if it is a cell flag; `false` for any other flag.
+    fn apply(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String>) -> Result<bool> {
+        let spec = &mut self.spec;
+        match flag {
+            "--dataset" => spec.dataset = DatasetKind::parse(&value()?)?,
+            "--protocol" => spec.protocol = ProtocolKind::parse(&value()?)?,
+            "--attack" => {
+                self.attack = match value()?.to_ascii_lowercase().as_str() {
+                    "none" => None,
+                    name => Some(
+                        AttackKind::from_name(name, 0)
+                            .ok_or_else(|| LdpError::invalid(format!("unknown attack '{name}'")))?,
+                    ),
+                }
+            }
+            "--targets" => self.targets = parse(&value()?, flag)?,
+            "--attackers" => self.attackers = parse(&value()?, flag)?,
+            "--beta" => spec.beta = parse(&value()?, flag)?,
+            "--eta" => spec.eta = parse(&value()?, flag)?,
+            "--epsilon" => spec.epsilon = parse(&value()?, flag)?,
+            "--seed" => spec.seed = parse_seed(&value()?)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
-    Ok(args)
+
+    /// The edited spec; no attack zeroes β.
+    fn finish(mut self) -> StreamSpec {
+        let mut spec = self.spec;
+        spec.attack = self.attack.and_then(|kind| match kind.size() {
+            Some((key, _)) => AttackKind::from_name(kind.name(), *self.size_flag(key)),
+            None => Some(kind),
+        });
+        if spec.attack.is_none() {
+            spec.beta = 0.0;
+        }
+        spec
+    }
 }
 
-/// Maps a CLI attack name (plus the `--targets` / `--attackers`
-/// parameters) to an [`AttackKind`]; `"none"` disables the attack.
-fn resolve_attack(name: &str, targets: usize, attackers: usize) -> Result<Option<AttackKind>> {
-    match name {
-        "manip" => Ok(Some(AttackKind::Manip { h: targets })),
-        "mga" => Ok(Some(AttackKind::Mga { r: targets })),
-        "mga-sampled" => Ok(Some(AttackKind::MgaSampled { r: targets })),
-        "aa" => Ok(Some(AttackKind::Adaptive)),
-        "aa-camo" => Ok(Some(AttackKind::AdaptiveCamouflaged)),
-        "mga-ipa" => Ok(Some(AttackKind::MgaIpa { r: targets })),
-        "multi" => Ok(Some(AttackKind::MultiAdaptive { attackers })),
-        "none" => Ok(None),
-        other => Err(LdpError::invalid(format!("unknown attack '{other}'"))),
+/// Runs `handle` on each flag of `iter`. `handle` pulls the flag's value
+/// through its second argument and returns `false` for a flag it does not
+/// know. `--help` prints `usage` and exits.
+fn for_each_flag<I: Iterator<Item = String>>(
+    mut iter: I,
+    usage: &str,
+    mut handle: impl FnMut(&str, &mut dyn FnMut() -> Result<String>) -> Result<bool>,
+) -> Result<()> {
+    while let Some(flag) = iter.next() {
+        if flag == "--help" || flag == "-h" {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        let mut value = || {
+            iter.next()
+                .ok_or_else(|| LdpError::invalid(format!("{flag} requires a value")))
+        };
+        if !handle(&flag, &mut value)? {
+            return Err(LdpError::invalid(format!("unknown flag '{flag}'")));
+        }
     }
+    Ok(())
 }
 
-fn parse_num(s: &str, flag: &str) -> Result<usize> {
+fn parse<T: std::str::FromStr<Err: std::fmt::Display>>(s: &str, flag: &str) -> Result<T> {
     s.parse()
         .map_err(|e| LdpError::invalid(format!("{flag}: {e}")))
 }
 
-fn parse_f64(s: &str, flag: &str) -> Result<f64> {
-    s.parse()
-        .map_err(|e| LdpError::invalid(format!("{flag}: {e}")))
+/// Parses a `--seed` value: decimal, or `0x` hex as run headers print it.
+fn parse_seed(s: &str) -> Result<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
+    }
+    .map_err(|e| LdpError::invalid(format!("--seed: {e}")))
 }
 
 const REPRO_USAGE: &str = "\
@@ -181,7 +234,7 @@ options:
                                 stream_windowed, defense_arms) [all]
   --scale small|paper|F         scale preset or fraction       [small]
   --trials N                    trials per cell    [preset default: 5/10]
-  --seed N                      master seed              [0x1db05eed]
+  --seed N|0xHEX                master seed              [0x1db05eed]
   --json PATH                   write JSON report(s); a directory when
                                 several figures run
   --csv                         CSV tables
@@ -197,7 +250,7 @@ struct ReproArgs {
     csv: bool,
 }
 
-fn parse_repro_args<I: Iterator<Item = String>>(mut iter: I) -> Result<ReproArgs> {
+fn parse_repro_args<I: Iterator<Item = String>>(iter: I) -> Result<ReproArgs> {
     let mut args = ReproArgs {
         figure: "all".to_string(),
         scale: ScaleSpec::Preset(ScalePreset::Small),
@@ -206,25 +259,18 @@ fn parse_repro_args<I: Iterator<Item = String>>(mut iter: I) -> Result<ReproArgs
         json: None,
         csv: false,
     };
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String> {
-            iter.next()
-                .ok_or_else(|| LdpError::invalid(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--figure" => args.figure = value("--figure")?.to_ascii_lowercase(),
-            "--scale" => args.scale = ScaleSpec::parse(&value("--scale")?)?,
-            "--trials" => args.trials = Some(parse_num(&value("--trials")?, "--trials")?),
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
-            "--json" => args.json = Some(value("--json")?.into()),
+    for_each_flag(iter, REPRO_USAGE, |flag, value| {
+        match flag {
+            "--figure" => args.figure = value()?.to_ascii_lowercase(),
+            "--scale" => args.scale = ScaleSpec::parse(&value()?)?,
+            "--trials" => args.trials = Some(parse(&value()?, flag)?),
+            "--seed" => args.seed = parse_seed(&value()?)?,
+            "--json" => args.json = Some(value()?.into()),
             "--csv" => args.csv = true,
-            "--help" | "-h" => {
-                println!("{REPRO_USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(LdpError::invalid(format!("unknown flag '{other}'"))),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if args.trials == Some(0) {
         return Err(LdpError::invalid("--trials must be ≥ 1"));
     }
@@ -247,16 +293,15 @@ impl ReproArgs {
     }
 }
 
-/// Fail fast — before any simulation work — when an output flag points
-/// into a directory that does not exist, instead of surfacing a bare io
-/// error (or losing a long run's output) at write time.
-fn validate_output_parent(flag: &str, path: &std::path::Path) -> Result<()> {
-    let parent = match path.parent() {
-        // A bare filename resolves against the current directory.
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => return Ok(()),
+/// Fail fast — before any simulation work — when an output flag was given
+/// and points into a directory that does not exist, instead of surfacing a
+/// bare io error (or losing a long run's output) at write time.
+fn validate_output_parent(flag: &str, path: Option<&std::path::Path>) -> Result<()> {
+    let Some((path, parent)) = path.and_then(|path| Some((path, path.parent()?))) else {
+        return Ok(());
     };
-    if parent.is_dir() {
+    // A bare filename (empty parent) resolves against the current directory.
+    if parent.as_os_str().is_empty() || parent.is_dir() {
         Ok(())
     } else {
         Err(LdpError::invalid(format!(
@@ -269,26 +314,21 @@ fn validate_output_parent(flag: &str, path: &std::path::Path) -> Result<()> {
 
 fn repro_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     let args = parse_repro_args(iter)?;
-    if let Some(path) = &args.json {
-        validate_output_parent("--json", path)?;
-    }
-    let ids: Vec<&str> = if args.figure == "all" {
-        catalog::FIGURE_IDS.to_vec()
-    } else {
-        // Resolve eagerly so an unknown figure fails before any work.
-        catalog::scenario(&args.figure)?;
-        vec![catalog::FIGURE_IDS
-            .iter()
-            .find(|id| **id == args.figure)
-            .expect("scenario() accepted the id")]
+    validate_output_parent("--json", args.json.as_deref())?;
+    let ids = match args.figure.as_str() {
+        "all" => catalog::FIGURE_IDS.to_vec(),
+        id => vec![id],
     };
+    // Resolve every scenario first, so an unknown figure fails before any
+    // work.
+    let scenarios = ids.into_iter().map(catalog::scenario);
+    let scenarios = scenarios.collect::<Result<Vec<_>>>()?;
     let scale = args.run_scale();
-    for id in &ids {
-        let scenario = catalog::scenario(id)?;
-        let report = run_scenario(&scenario, &scale)?;
+    for scenario in &scenarios {
+        let report = run_scenario(scenario, &scale)?;
         print!("{}", report.render_text(args.csv));
         if let Some(path) = &args.json {
-            let written = report.write_json(path, ids.len() > 1)?;
+            let written = report.write_json(path, scenarios.len() > 1)?;
             eprintln!("wrote {}", written.display());
         }
     }
@@ -319,7 +359,7 @@ options:
   --shards N                    ingestion shards        [4]
   --epochs N                    stream length           [8]
   --users-per-epoch N           genuine users per epoch [5000]
-  --seed N                      master seed             [0x1db05eed]
+  --seed N|0xHEX                master seed             [0x1db05eed]
   --window cumulative|sliding:N|decay:L
                                 recovery window over epochs: all epochs,
                                 the last N, or exponential decay with
@@ -332,8 +372,8 @@ options:
                                 misbehaves on its U-th unit; K is
                                 worker-crash|stall|corrupt-frame
   --checkpoint PATH             write the engine state after every epoch
-  --resume PATH                 restore from a checkpoint (spec flags, if
-                                repeated, must match the checkpoint spec)
+  --resume PATH                 restore from a checkpoint (spec flags may
+                                restate the checkpoint spec, not change it)
   --suspend-after N             stop once N epochs are done (for --resume)
   --arms a,b,c                  also evaluate these count-only defense arms
                                 on the final merged state (recover,
@@ -345,9 +385,6 @@ options:
 /// Parsed `ldp stream` options.
 struct StreamArgs {
     spec: StreamSpec,
-    /// The spec-shaping flags that were explicitly given — with --resume
-    /// each is diffed field-by-field against the checkpoint's spec.
-    spec_flags: Vec<&'static str>,
     workers: Option<usize>,
     worker_timeout_ms: u64,
     inject_fault: Option<String>,
@@ -359,26 +396,11 @@ struct StreamArgs {
     csv: bool,
 }
 
-fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamArgs> {
-    let mut spec = StreamSpec {
-        dataset: DatasetKind::Ipums,
-        protocol: ProtocolKind::Grr,
-        attack: Some(AttackKind::Adaptive),
-        epsilon: 0.5,
-        beta: 0.05,
-        eta: 0.2,
-        shards: 4,
-        epochs: 8,
-        users_per_epoch: 5000,
-        seed: DEFAULT_SEED,
-        window: WindowMode::Cumulative,
-    };
-    let mut attack_name = "aa".to_string();
-    let mut targets = 10usize;
-    let mut attackers = 5usize;
+/// Parses `ldp stream` flags; the spec flags edit `base`.
+fn parse_stream_args<I: Iterator<Item = String>>(iter: I, base: StreamSpec) -> Result<StreamArgs> {
+    let mut cell = CellFlags::new(base);
     let mut args = StreamArgs {
-        spec,
-        spec_flags: Vec::new(),
+        spec: base,
         workers: None,
         worker_timeout_ms: 10_000,
         inject_fault: None,
@@ -389,109 +411,37 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
         json: None,
         csv: false,
     };
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String> {
-            iter.next()
-                .ok_or_else(|| LdpError::invalid(format!("{name} requires a value")))
-        };
-        // Spec-shaping flags record their name for the --resume diff.
-        let mut spec_flag: Option<&'static str> = None;
-        match flag.as_str() {
-            "--dataset" => {
-                spec.dataset = DatasetKind::parse(&value("--dataset")?)?;
-                spec_flag = Some("--dataset");
-            }
-            "--protocol" => {
-                spec.protocol = ProtocolKind::parse(&value("--protocol")?)?;
-                spec_flag = Some("--protocol");
-            }
-            "--attack" => {
-                attack_name = value("--attack")?.to_ascii_lowercase();
-                spec_flag = Some("--attack");
-            }
-            "--targets" => {
-                targets = parse_num(&value("--targets")?, "--targets")?;
-                spec_flag = Some("--attack");
-            }
-            "--attackers" => {
-                attackers = parse_num(&value("--attackers")?, "--attackers")?;
-                spec_flag = Some("--attack");
-            }
-            "--beta" => {
-                spec.beta = parse_f64(&value("--beta")?, "--beta")?;
-                spec_flag = Some("--beta");
-            }
-            "--eta" => {
-                spec.eta = parse_f64(&value("--eta")?, "--eta")?;
-                spec_flag = Some("--eta");
-            }
-            "--epsilon" => {
-                spec.epsilon = parse_f64(&value("--epsilon")?, "--epsilon")?;
-                spec_flag = Some("--epsilon");
-            }
-            "--shards" => {
-                spec.shards = parse_num(&value("--shards")?, "--shards")?;
-                spec_flag = Some("--shards");
-            }
-            "--epochs" => {
-                spec.epochs = parse_num(&value("--epochs")?, "--epochs")?;
-                spec_flag = Some("--epochs");
-            }
-            "--users-per-epoch" => {
-                spec.users_per_epoch =
-                    parse_num(&value("--users-per-epoch")?, "--users-per-epoch")?;
-                spec_flag = Some("--users-per-epoch");
-            }
-            "--seed" => {
-                spec.seed = parse_num(&value("--seed")?, "--seed")? as u64;
-                spec_flag = Some("--seed");
-            }
-            "--window" => {
-                spec.window = WindowMode::parse(&value("--window")?)?;
-                spec_flag = Some("--window");
-            }
+    for_each_flag(iter, STREAM_USAGE, |flag, value| {
+        let spec = &mut cell.spec;
+        match flag {
+            "--shards" => spec.shards = parse(&value()?, flag)?,
+            "--epochs" => spec.epochs = parse(&value()?, flag)?,
+            "--users-per-epoch" => spec.users_per_epoch = parse(&value()?, flag)?,
+            "--window" => spec.window = WindowMode::parse(&value()?)?,
             "--workers" => {
-                let n = parse_num(&value("--workers")?, "--workers")?;
+                let n: usize = parse(&value()?, flag)?;
                 if n == 0 {
                     return Err(LdpError::invalid("--workers must be ≥ 1"));
                 }
                 args.workers = Some(n);
             }
-            "--worker-timeout-ms" => {
-                args.worker_timeout_ms =
-                    parse_num(&value("--worker-timeout-ms")?, "--worker-timeout-ms")? as u64;
-            }
+            "--worker-timeout-ms" => args.worker_timeout_ms = parse(&value()?, flag)?,
             "--inject-fault" => {
-                let fault = value("--inject-fault")?;
+                let fault = value()?;
                 FaultPlan::parse(&fault)?; // validate eagerly; workers re-parse
                 args.inject_fault = Some(fault);
             }
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?.into()),
-            "--resume" => args.resume = Some(value("--resume")?.into()),
-            "--suspend-after" => {
-                args.suspend_after =
-                    Some(parse_num(&value("--suspend-after")?, "--suspend-after")?);
-            }
-            "--arms" => args.arms = Some(ArmSet::parse(&value("--arms")?)?),
-            "--json" => args.json = Some(value("--json")?.into()),
+            "--checkpoint" => args.checkpoint = Some(value()?.into()),
+            "--resume" => args.resume = Some(value()?.into()),
+            "--suspend-after" => args.suspend_after = Some(parse(&value()?, flag)?),
+            "--arms" => args.arms = Some(ArmSet::parse(&value()?)?),
+            "--json" => args.json = Some(value()?.into()),
             "--csv" => args.csv = true,
-            "--help" | "-h" => {
-                println!("{STREAM_USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(LdpError::invalid(format!("unknown flag '{other}'"))),
+            _ => return cell.apply(flag, value),
         }
-        if let Some(name) = spec_flag {
-            if !args.spec_flags.contains(&name) {
-                args.spec_flags.push(name);
-            }
-        }
-    }
-    spec.attack = resolve_attack(&attack_name, targets, attackers)?;
-    if spec.attack.is_none() {
-        spec.beta = 0.0;
-    }
-    args.spec = spec;
+        Ok(true)
+    })?;
+    args.spec = cell.finish();
     if args.inject_fault.is_some() && args.workers.is_none() {
         return Err(LdpError::invalid(
             "--inject-fault targets worker processes; it requires --workers",
@@ -500,77 +450,58 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
     Ok(args)
 }
 
-/// The CLI surface form of an attack spec, for --resume diff messages.
-fn attack_cli_form(attack: Option<AttackKind>) -> String {
-    match attack {
-        None => "none".into(),
-        Some(AttackKind::Manip { h }) => format!("manip (targets {h})"),
-        Some(AttackKind::Mga { r }) => format!("mga (targets {r})"),
-        Some(AttackKind::MgaSampled { r }) => format!("mga-sampled (targets {r})"),
-        Some(AttackKind::Adaptive) => "aa".into(),
-        Some(AttackKind::AdaptiveCamouflaged) => "aa-camo".into(),
-        Some(AttackKind::MgaIpa { r }) => format!("mga-ipa (targets {r})"),
-        Some(AttackKind::MultiAdaptive { attackers }) => format!("multi (attackers {attackers})"),
-    }
+/// One `  --<flag>: flag X != checkpoint Y` line, in key order, per spec
+/// member that `given` (the checkpoint's spec with the given flags
+/// re-applied) changes.
+/// Members compare in their checkpoint encoding ([`spec_to_json`]), where
+/// a member's key names its flag and f64s are shortest-roundtrip, so
+/// equal text means bit-equal.
+fn resume_spec_conflicts(given: &StreamSpec, checkpoint: &StreamSpec) -> Vec<String> {
+    let (given, stored) = (spec_to_json(given), spec_to_json(checkpoint));
+    let (Json::Obj(a), Json::Obj(b)) = (&given, &stored) else {
+        unreachable!("specs encode as JSON objects");
+    };
+    let keys: std::collections::BTreeSet<&str> =
+        a.iter().chain(b).map(|(k, _)| k.as_str()).collect();
+    keys.into_iter()
+        .filter_map(|key| {
+            let (flag, was) = (member_text(given.get(key)), member_text(stored.get(key)));
+            (flag != was).then(|| {
+                let flag_name = key.replace('_', "-");
+                format!("  --{flag_name}: flag {flag} != checkpoint {was}")
+            })
+        })
+        .collect()
 }
 
-/// Field-by-field diff of the explicitly given spec flags against a
-/// checkpoint's restored spec. Empty when every given flag agrees — such
-/// a resume is allowed; any disagreement makes `ldp stream` fail fast
-/// with one line per conflicting field.
-///
-/// Values are compared via their rendered forms; f64's Display is
-/// shortest-roundtrip, so equal strings means bit-equal floats.
-fn resume_spec_conflicts(
-    flags: &[&'static str],
-    cli: &StreamSpec,
-    checkpoint: &StreamSpec,
-) -> Vec<String> {
-    let mut lines = Vec::new();
-    for &flag in flags {
-        let (given, stored) = match flag {
-            "--dataset" => (cli.dataset.to_string(), checkpoint.dataset.to_string()),
-            "--protocol" => (cli.protocol.to_string(), checkpoint.protocol.to_string()),
-            "--attack" => (
-                attack_cli_form(cli.attack),
-                attack_cli_form(checkpoint.attack),
-            ),
-            "--beta" => (cli.beta.to_string(), checkpoint.beta.to_string()),
-            "--eta" => (cli.eta.to_string(), checkpoint.eta.to_string()),
-            "--epsilon" => (cli.epsilon.to_string(), checkpoint.epsilon.to_string()),
-            "--shards" => (cli.shards.to_string(), checkpoint.shards.to_string()),
-            "--epochs" => (cli.epochs.to_string(), checkpoint.epochs.to_string()),
-            "--users-per-epoch" => (
-                cli.users_per_epoch.to_string(),
-                checkpoint.users_per_epoch.to_string(),
-            ),
-            "--seed" => (
-                format!("{:#x}", cli.seed),
-                format!("{:#x}", checkpoint.seed),
-            ),
-            "--window" => (cli.window.name(), checkpoint.window.name()),
-            other => (format!("unknown spec flag {other}"), String::new()),
-        };
-        if given != stored {
-            lines.push(format!("  {flag}: flag {given} != checkpoint {stored}"));
-        }
+/// A spec member as conflict text: strings bare, objects (the attack) as
+/// `key=value` pairs, and the one optional member, `window`, as
+/// `cumulative` when absent.
+fn member_text(member: Option<&Json>) -> String {
+    match member {
+        None => WindowMode::Cumulative.name(),
+        Some(Json::Null) => "none".into(),
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Obj(members)) => members
+            .iter()
+            .map(|(key, value)| format!("{key}={}", member_text(Some(value))))
+            .collect::<Vec<_>>()
+            .join(" "),
+        Some(other) => other.render().trim_end().to_string(),
     }
-    lines
 }
 
 fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
-    let args = parse_stream_args(iter)?;
-    if let Some(path) = &args.json {
-        validate_output_parent("--json", path)?;
-    }
-    if let Some(path) = &args.checkpoint {
-        validate_output_parent("--checkpoint", path)?;
-    }
+    let raw: Vec<String> = iter.collect();
+    let args = parse_stream_args(raw.iter().cloned(), DEFAULT_SPEC)?;
+    validate_output_parent("--json", args.json.as_deref())?;
+    validate_output_parent("--checkpoint", args.checkpoint.as_deref())?;
     let mut engine = match &args.resume {
         Some(path) => {
             let text = std::fs::read_to_string(path)?;
             let engine = StreamEngine::from_checkpoint(&Json::parse(&text)?)?;
-            let conflicts = resume_spec_conflicts(&args.spec_flags, &args.spec, engine.spec());
+            let given = parse_stream_args(raw.iter().cloned(), *engine.spec())?.spec;
+            let conflicts = resume_spec_conflicts(&given, engine.spec());
             if !conflicts.is_empty() {
                 return Err(LdpError::invalid(format!(
                     "--resume {}: the checkpoint's spec disagrees with the given spec flags:\n\
@@ -653,11 +584,7 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
             format!("{:.3e}", point.mse_genuine),
         ]);
     }
-    if args.csv {
-        print!("{}", table.render_csv());
-    } else {
-        print!("{}", table.render());
-    }
+    print_table(&table, args.csv);
     if engine.epochs_done() < spec.epochs {
         println!(
             "\nsuspended after {} of {} epochs{}",
@@ -672,67 +599,52 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
 
     // Optional open-registry evaluation of the final merged state: any
     // count-only arm set, eligibility decided by declared requirements.
-    let arm_outputs = match &args.arms {
-        Some(arms) if engine.epochs_done() > 0 => Some(engine.arm_snapshot(arms)?),
+    // Each arm's MSE is against the ingested population's realized
+    // frequencies (cheap: no recovery solve involved).
+    let arms: Option<Vec<(String, f64, Vec<f64>)>> = match &args.arms {
+        Some(arms) if engine.epochs_done() > 0 => {
+            let counts = engine.true_counts();
+            let total: u64 = counts.iter().sum();
+            let truth: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
+            let outputs = engine.arm_snapshot(arms)?.into_iter();
+            let mse = |freqs: &[f64]| ldp_sim::metrics::mse(freqs, &truth);
+            Some(
+                outputs
+                    .map(|(key, out)| (key, mse(&out.frequencies), out.frequencies))
+                    .collect(),
+            )
+        }
         Some(_) => {
             eprintln!("note: --arms skipped (no epochs ingested, nothing to evaluate)");
             None
         }
         None => None,
     };
-    // Realized ground-truth frequencies of the ingested population, for
-    // the arm MSE labels (cheap: no recovery solve involved).
-    let truth: Option<Vec<f64>> = arm_outputs.as_ref().map(|_| {
-        let total: u64 = engine.true_counts().iter().sum();
-        engine
-            .true_counts()
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    });
-    if let (Some(outputs), Some(truth)) = (&arm_outputs, &truth) {
+    if let Some(arms) = &arms {
         let mut arm_table = Table::new(["arm", "MSE (final state)"]);
-        for (key, output) in outputs {
-            arm_table.push_row([
-                arm_column_label(key),
-                format!("{:.3e}", ldp_sim::metrics::mse(&output.frequencies, truth)),
-            ]);
+        for (key, mse, _) in arms {
+            arm_table.push_row([arm_column_label(key), format!("{mse:.3e}")]);
         }
         println!("\narms on the final merged state:");
-        if args.csv {
-            print!("{}", arm_table.render_csv());
-        } else {
-            print!("{}", arm_table.render());
-        }
+        print_table(&arm_table, args.csv);
     }
 
     if let Some(path) = &args.json {
         let mut report = engine.report()?;
         // The arms block is additive and only present when requested, so
         // default reports stay byte-identical across resume boundaries.
-        if let (Some(outputs), Some(truth), Json::Obj(fields)) = (&arm_outputs, &truth, &mut report)
-        {
-            let arms_json = outputs
+        if let (Some(arms), Json::Obj(fields)) = (&arms, &mut report) {
+            let arm = |mse: f64, freqs: &[f64]| {
+                let freqs = freqs.iter().map(|&x| Json::Num(x)).collect();
+                Json::Obj(vec![
+                    ("mse".into(), Json::Num(mse)),
+                    ("frequencies".into(), Json::Arr(freqs)),
+                ])
+            };
+            let arms_json = arms
                 .iter()
-                .map(|(key, output)| {
-                    (
-                        key.clone(),
-                        Json::Obj(vec![
-                            (
-                                "mse".into(),
-                                Json::Num(ldp_sim::metrics::mse(&output.frequencies, truth)),
-                            ),
-                            (
-                                "frequencies".into(),
-                                Json::Arr(
-                                    output.frequencies.iter().map(|&x| Json::Num(x)).collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect();
-            fields.push(("arms".into(), Json::Obj(arms_json)));
+                .map(|(key, mse, freqs)| (key.clone(), arm(*mse, freqs)));
+            fields.push(("arms".into(), Json::Obj(arms_json.collect())));
         }
         write_atomic(path, &report.render())?;
         eprintln!("wrote {}", path.display());
@@ -767,58 +679,35 @@ fn stream_worker_main<I: Iterator<Item = String>>(mut iter: I) -> Result<()> {
 
 fn main() -> Result<()> {
     let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("repro") {
-        raw.next();
-        return repro_main(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("stream") {
-        raw.next();
-        return stream_main(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("stream-worker") {
-        raw.next();
-        return stream_worker_main(raw);
+    match raw.peek().cloned().as_deref() {
+        Some("repro") => return repro_main(raw.skip(1)),
+        Some("stream") => return stream_main(raw.skip(1)),
+        Some("stream-worker") => return stream_worker_main(raw.skip(1)),
+        _ => {}
     }
     let args = parse_args(raw)?;
-    let mut config = ExperimentConfig::paper_default(args.dataset, args.protocol, args.attack);
-    config.beta = if args.attack.is_some() {
-        args.beta
-    } else {
-        0.0
-    };
-    config.eta = args.eta;
-    config.epsilon = args.epsilon;
-    config.trials = args.trials;
-    config.scale = args.scale;
-    config.seed = args.seed;
+    let config = args.config;
     config.validate()?;
 
-    // Arm selection: an explicit --arms list wins (and is validated
-    // against the aggregation mode by the pipeline); otherwise the
-    // historical defaults apply. Forcing batched aggregation is
-    // incompatible with report-consuming arms, so the *default* arm set
-    // degrades to recovery-only there instead of erroring.
-    let mut options = match (&args.arms, args.attack.is_some(), args.aggregation) {
-        (Some(arms), _, _) => PipelineOptions::with_arms(arms.clone()),
-        (None, true, AggregationMode::Batched) => {
-            eprintln!("note: --aggregation batched retains no reports; skipping Detection");
-            PipelineOptions::recovery_only()
-        }
-        (None, true, _) => PipelineOptions::full_comparison(),
-        (None, false, _) => PipelineOptions::default(),
+    // Arm selection: an explicit --arms list wins; otherwise the full
+    // comparison when attacked. `Auto` aggregation then takes the batched
+    // path unless a selected arm consumes raw reports.
+    let options = match (&args.arms, config.attack.is_some()) {
+        (Some(arms), _) => PipelineOptions::with_arms(arms.clone()),
+        (None, true) => PipelineOptions::full_comparison(),
+        (None, false) => PipelineOptions::default(),
     };
-    options.aggregation = args.aggregation;
     let result = run_experiment(&config, &options)?;
 
     println!(
         "cell {}  (dataset={}, eps={}, beta={}, eta={}, trials={}, scale={}, arms={})\n",
         config.label(),
-        args.dataset,
-        args.epsilon,
+        config.dataset,
+        config.epsilon,
         config.beta,
-        args.eta,
-        args.trials,
-        args.scale,
+        config.eta,
+        config.trials,
+        config.scale,
         options.arms
     );
 
@@ -835,16 +724,18 @@ fn main() -> Result<()> {
         fg_row.extend(result.arms.iter().map(|(_, arm)| fmt_stat(&arm.fg)));
         table.push_row(fg_row);
     }
-    if args.csv {
-        print!("{}", table.render_csv());
-    } else {
-        print!("{}", table.render());
-    }
+    print_table(&table, args.csv);
     println!(
         "\nnoise floor (genuine estimate MSE): {}",
         fmt_mean(&result.mse_genuine)
     );
     Ok(())
+}
+
+/// Prints `table` aligned, or as CSV with `--csv`.
+fn print_table(t: &Table, csv: bool) {
+    let text = if csv { t.render_csv() } else { t.render() };
+    print!("{text}");
 }
 
 /// Column label for an arm's metric key: the registry's display label
@@ -867,7 +758,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let a = parse(&[]).unwrap();
+        let a = parse(&[]).unwrap().config;
         assert_eq!(a.dataset, DatasetKind::Ipums);
         assert_eq!(a.protocol, ProtocolKind::Grr);
         assert_eq!(a.attack, Some(AttackKind::Adaptive));
@@ -899,16 +790,17 @@ mod tests {
             "--csv",
         ])
         .unwrap();
+        assert!(a.csv);
+        let a = a.config;
         assert_eq!(a.dataset, DatasetKind::Fire);
         assert_eq!(a.protocol, ProtocolKind::Oue);
         assert_eq!(a.attack, Some(AttackKind::Mga { r: 7 }));
         assert_eq!(a.beta, 0.1);
-        assert!(a.csv);
     }
 
     #[test]
     fn attack_none_zeroes_beta() {
-        let a = parse(&["--attack", "none"]).unwrap();
+        let a = parse(&["--attack", "none"]).unwrap().config;
         assert!(a.attack.is_none());
         assert_eq!(a.beta, 0.0);
     }
@@ -916,9 +808,14 @@ mod tests {
     #[test]
     fn targets_apply_regardless_of_flag_order() {
         let a = parse(&["--attack", "mga", "--targets", "3"]).unwrap();
-        assert_eq!(a.attack, Some(AttackKind::Mga { r: 3 }));
+        assert_eq!(a.config.attack, Some(AttackKind::Mga { r: 3 }));
         let b = parse(&["--targets", "3", "--attack", "manip"]).unwrap();
-        assert_eq!(b.attack, Some(AttackKind::Manip { h: 3 }));
+        assert_eq!(b.config.attack, Some(AttackKind::Manip { h: 3 }));
+        let c = parse(&["--attackers", "3", "--attack", "multi", "--targets", "9"]).unwrap();
+        assert_eq!(
+            c.config.attack,
+            Some(AttackKind::MultiAdaptive { attackers: 3 })
+        );
     }
 
     #[test]
@@ -927,7 +824,27 @@ mod tests {
         assert!(parse(&["--attack", "ddos"]).is_err());
         assert!(parse(&["--beta"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--aggregation", "vectorized"]).is_err());
+        assert!(parse(&["--aggregation", "auto"]).is_err(), "flag removed");
+    }
+
+    #[test]
+    fn seed_takes_decimal_or_the_printed_hex_form() {
+        let hex = ["--seed", "0x1db05eed"];
+        assert_eq!(parse(&hex).unwrap().config.seed, DEFAULT_SEED);
+        assert_eq!(parse_repro(&hex).unwrap().seed, DEFAULT_SEED);
+        assert_eq!(parse_stream(&hex).unwrap().spec.seed, DEFAULT_SEED);
+        let decimal = DEFAULT_SEED.to_string();
+        assert_eq!(
+            parse(&["--seed", &decimal]).unwrap().config.seed,
+            DEFAULT_SEED
+        );
+        assert_eq!(parse_seed(&u64::MAX.to_string()).unwrap(), u64::MAX);
+        for bad in ["0xZZ", "0x", "-1", "seed"] {
+            let err = parse(&["--seed", bad]).err().expect(bad).to_string();
+            assert!(err.contains("--seed"), "{err}");
+            assert!(parse_repro(&["--seed", bad]).is_err(), "{bad}");
+            assert!(parse_stream(&["--seed", bad]).is_err(), "{bad}");
+        }
     }
 
     fn parse_repro(args: &[&str]) -> Result<ReproArgs> {
@@ -976,7 +893,7 @@ mod tests {
     }
 
     fn parse_stream(args: &[&str]) -> Result<StreamArgs> {
-        parse_stream_args(args.iter().map(|s| s.to_string()))
+        parse_stream_args(args.iter().map(|s| s.to_string()), DEFAULT_SPEC)
     }
 
     #[test]
@@ -991,7 +908,7 @@ mod tests {
         assert!(a.workers.is_none(), "in-process engine by default");
         assert_eq!(a.worker_timeout_ms, 10_000);
         assert!(a.checkpoint.is_none() && a.resume.is_none());
-        assert!(a.spec_flags.is_empty(), "no spec flags recorded");
+        assert_eq!(a.spec, DEFAULT_SPEC);
         assert!(a.spec.validate().is_ok());
     }
 
@@ -1030,17 +947,6 @@ mod tests {
         );
         assert_eq!(a.suspend_after, Some(2));
         assert!(a.csv);
-        // Spec flags are recorded once each; --targets folds into --attack.
-        assert_eq!(
-            a.spec_flags,
-            [
-                "--protocol",
-                "--attack",
-                "--shards",
-                "--epochs",
-                "--users-per-epoch"
-            ]
-        );
         // `none` zeroes beta, like the cell runner.
         let clean = parse_stream(&["--attack", "none"]).unwrap();
         assert!(clean.spec.attack.is_none());
@@ -1063,10 +969,12 @@ mod tests {
         assert_eq!(a.workers, Some(4));
         assert_eq!(a.worker_timeout_ms, 2500);
         assert_eq!(a.inject_fault.as_deref(), Some("corrupt-frame@1"));
-        assert_eq!(a.spec.window, WindowMode::Sliding(3));
         assert_eq!(
-            a.spec_flags,
-            ["--window"],
+            a.spec,
+            StreamSpec {
+                window: WindowMode::Sliding(3),
+                ..DEFAULT_SPEC
+            },
             "worker knobs are not spec flags"
         );
         // Rejections: zero workers, malformed faults, faults without
@@ -1080,15 +988,20 @@ mod tests {
 
     #[test]
     fn stream_resume_diffs_spec_flags_against_the_checkpoint() {
-        // Parsing no longer rejects spec flags next to --resume; the
-        // conflict check happens against the restored spec instead.
+        // Parsing does not reject spec flags next to --resume; the given
+        // flags are re-applied to the restored spec and diffed against it.
         let ok = parse_stream(&["--resume", "c.json", "--shards", "2"]).unwrap();
         assert!(ok.resume.is_some());
-        assert_eq!(ok.spec_flags, ["--shards"]);
+        assert_eq!(ok.spec.shards, 2);
         assert!(parse_stream(&["--frobnicate"]).is_err());
         assert!(parse_stream(&["--shards"]).is_err());
+        let conflicts = |flags: &[&str], checkpoint: StreamSpec| {
+            let flags = flags.iter().map(|s| s.to_string());
+            let given = parse_stream_args(flags, checkpoint).unwrap().spec;
+            resume_spec_conflicts(&given, &checkpoint)
+        };
 
-        let cli = parse_stream(&[
+        let flags = [
             "--shards",
             "2",
             "--protocol",
@@ -1097,37 +1010,49 @@ mod tests {
             "0.2",
             "--seed",
             "9",
-        ])
-        .unwrap();
-        let mut checkpoint = cli.spec;
+        ];
+        let mut checkpoint = parse_stream(&flags).unwrap().spec;
         // Matching flags produce no conflicts: resuming is allowed.
-        assert!(resume_spec_conflicts(&cli.spec_flags, &cli.spec, &checkpoint).is_empty());
-        // Each mismatching field yields one labeled diff line.
+        assert!(conflicts(&flags, checkpoint).is_empty());
+        // Each mismatching field yields one labeled diff line, in spec
+        // order.
         checkpoint.shards = 4;
         checkpoint.protocol = ProtocolKind::Grr;
-        let lines = resume_spec_conflicts(&cli.spec_flags, &cli.spec, &checkpoint);
+        let lines = conflicts(&flags, checkpoint);
         assert_eq!(lines.len(), 2, "{lines:?}");
-        assert_eq!(lines[0], "  --shards: flag 2 != checkpoint 4");
-        assert_eq!(lines[1], "  --protocol: flag OUE != checkpoint GRR");
+        assert_eq!(lines[0], "  --protocol: flag OUE != checkpoint GRR");
+        assert_eq!(lines[1], "  --shards: flag 2 != checkpoint 4");
         // Fields never given on the CLI are not diffed, even if different.
         checkpoint.epochs = 99;
-        assert_eq!(
-            resume_spec_conflicts(&cli.spec_flags, &cli.spec, &checkpoint).len(),
-            2
-        );
-        // Attack and window diffs render their CLI surface forms.
-        let cli =
-            parse_stream(&["--attack", "mga", "--targets", "7", "--window", "decay:0.5"]).unwrap();
-        let mut checkpoint = cli.spec;
+        assert_eq!(conflicts(&flags, checkpoint).len(), 2);
+        // Attack and window diffs render their checkpoint forms.
+        let flags = ["--attack", "mga", "--targets", "7", "--window", "decay:0.5"];
+        let mut checkpoint = parse_stream(&flags).unwrap().spec;
         checkpoint.attack = Some(AttackKind::Mga { r: 9 });
         checkpoint.window = WindowMode::Sliding(4);
-        let lines = resume_spec_conflicts(&cli.spec_flags, &cli.spec, &checkpoint);
         assert_eq!(
-            lines,
+            conflicts(&flags, checkpoint),
             [
-                "  --attack: flag mga (targets 7) != checkpoint mga (targets 9)",
+                "  --attack: flag kind=mga r=7 != checkpoint kind=mga r=9",
                 "  --window: flag decay:0.5 != checkpoint sliding:4",
             ]
+        );
+        // A size flag that restates the checkpoint's attack is no conflict:
+        // the attack name comes from the checkpoint, not the default `aa`.
+        let mga = StreamSpec {
+            attack: Some(AttackKind::Mga { r: 9 }),
+            ..DEFAULT_SPEC
+        };
+        assert!(conflicts(&["--targets", "9"], mga).is_empty());
+        let multi = StreamSpec {
+            attack: Some(AttackKind::MultiAdaptive { attackers: 5 }),
+            ..DEFAULT_SPEC
+        };
+        assert!(conflicts(&["--attackers", "5"], multi).is_empty());
+        assert_eq!(
+            conflicts(&["--window", "cumulative", "--attackers", "6"], checkpoint),
+            ["  --window: flag cumulative != checkpoint sliding:4"],
+            "--attackers does not size mga"
         );
     }
 
@@ -1160,29 +1085,16 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_flag_defaults_to_auto() {
-        assert_eq!(parse(&[]).unwrap().aggregation, AggregationMode::Auto);
-        assert_eq!(
-            parse(&["--aggregation", "batched"]).unwrap().aggregation,
-            AggregationMode::Batched
-        );
-        assert_eq!(
-            parse(&["--aggregation", "per-user"]).unwrap().aggregation,
-            AggregationMode::PerUser
-        );
-    }
-
-    #[test]
     fn output_parent_validation() {
         use std::path::Path;
         // Bare filenames and existing directories pass.
-        assert!(validate_output_parent("--json", Path::new("out.json")).is_ok());
-        assert!(validate_output_parent("--json", Path::new("./out.json")).is_ok());
+        assert!(validate_output_parent("--json", Some(Path::new("out.json"))).is_ok());
+        assert!(validate_output_parent("--json", Some(Path::new("./out.json"))).is_ok());
         let tmp = std::env::temp_dir();
-        assert!(validate_output_parent("--json", &tmp.join("out.json")).is_ok());
+        assert!(validate_output_parent("--json", Some(&tmp.join("out.json"))).is_ok());
         // A missing directory fails with the flag and both paths named.
         let missing = tmp.join("ldp-no-such-dir-ever").join("out.json");
-        let err = validate_output_parent("--checkpoint", &missing)
+        let err = validate_output_parent("--checkpoint", Some(&missing))
             .unwrap_err()
             .to_string();
         assert!(err.contains("--checkpoint"), "{err}");
@@ -1191,7 +1103,7 @@ mod tests {
         // A parent that exists but is a file is just as unwritable.
         let file_parent = tmp.join("ldp-parent-is-a-file");
         ldp_common::write_atomic(&file_parent, "x").unwrap();
-        assert!(validate_output_parent("--json", &file_parent.join("out.json")).is_err());
+        assert!(validate_output_parent("--json", Some(&file_parent.join("out.json"))).is_err());
         std::fs::remove_file(&file_parent).unwrap();
     }
 }

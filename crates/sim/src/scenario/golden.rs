@@ -16,8 +16,8 @@
 
 use ldp_common::{LdpError, Result};
 
-use crate::scenario::json::Json;
 use crate::scenario::report::ScenarioReport;
+use ldp_common::json::Json;
 
 /// Multiplier on the SEM for the tolerance band: wide enough for an
 /// RNG-stream refactor (which re-rolls the noise, moving each mean by

@@ -4,9 +4,9 @@
 use ldp_common::float::exactly_zero;
 
 use crate::metrics::Stats;
-use crate::scenario::json::Json;
 use crate::scenario::spec::{Entry, GridSpec};
 use crate::table::Table;
+use ldp_common::json::Json;
 
 /// Everything one scenario run produced.
 #[derive(Debug, Clone)]

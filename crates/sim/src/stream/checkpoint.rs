@@ -87,27 +87,17 @@ pub(crate) fn counts_field(json: &Json, key: &str, len: usize) -> Result<Vec<u64
         .collect()
 }
 
-/// Serializes an attack kind (`None` → `null`).
+/// Serializes an attack kind (`None` → `null`) as its table name plus
+/// its size parameter under the parameter's key (`h`, `r`, `attackers`).
 pub fn attack_to_json(attack: Option<AttackKind>) -> Json {
-    let obj = |kind: &str, param: Option<(&str, usize)>| {
-        let mut members = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-        if let Some((name, value)) = param {
-            members.push((name.to_string(), Json::Num(value as f64)));
-        }
-        Json::Obj(members)
+    let Some(attack) = attack else {
+        return Json::Null;
     };
-    match attack {
-        None => Json::Null,
-        Some(AttackKind::Manip { h }) => obj("manip", Some(("h", h))),
-        Some(AttackKind::Mga { r }) => obj("mga", Some(("r", r))),
-        Some(AttackKind::MgaSampled { r }) => obj("mga-sampled", Some(("r", r))),
-        Some(AttackKind::Adaptive) => obj("aa", None),
-        Some(AttackKind::AdaptiveCamouflaged) => obj("aa-camo", None),
-        Some(AttackKind::MgaIpa { r }) => obj("mga-ipa", Some(("r", r))),
-        Some(AttackKind::MultiAdaptive { attackers }) => {
-            obj("multi", Some(("attackers", attackers)))
-        }
+    let mut members = vec![("kind".to_string(), Json::Str(attack.name().into()))];
+    if let Some((key, size)) = attack.size() {
+        members.push((key.to_string(), Json::Num(size as f64)));
     }
+    Json::Obj(members)
 }
 
 /// Parses an attack kind serialized by [`attack_to_json`].
@@ -118,32 +108,13 @@ pub fn attack_from_json(json: &Json) -> Result<Option<AttackKind>> {
     if *json == Json::Null {
         return Ok(None);
     }
-    let kind = str_field(json, "kind")?;
-    let attack = match kind {
-        "manip" => AttackKind::Manip {
-            h: usize_field(json, "h")?,
-        },
-        "mga" => AttackKind::Mga {
-            r: usize_field(json, "r")?,
-        },
-        "mga-sampled" => AttackKind::MgaSampled {
-            r: usize_field(json, "r")?,
-        },
-        "aa" => AttackKind::Adaptive,
-        "aa-camo" => AttackKind::AdaptiveCamouflaged,
-        "mga-ipa" => AttackKind::MgaIpa {
-            r: usize_field(json, "r")?,
-        },
-        "multi" => AttackKind::MultiAdaptive {
-            attackers: usize_field(json, "attackers")?,
-        },
-        other => {
-            return Err(LdpError::invalid(format!(
-                "checkpoint: unknown attack kind '{other}'"
-            )))
-        }
-    };
-    Ok(Some(attack))
+    let name = str_field(json, "kind")?;
+    let kind = AttackKind::from_name(name, 0)
+        .ok_or_else(|| LdpError::invalid(format!("checkpoint: unknown attack kind '{name}'")))?;
+    Ok(match kind.size() {
+        Some((key, _)) => AttackKind::from_name(name, usize_field(json, key)?),
+        None => Some(kind),
+    })
 }
 
 /// Serializes a stream spec. The `window` member is only emitted for
@@ -566,6 +537,14 @@ mod tests {
             let json = attack_to_json(attack);
             let reparsed = Json::parse(&json.render()).unwrap();
             assert_eq!(attack_from_json(&reparsed).unwrap(), attack, "{attack:?}");
+        }
+        // The size keys are part of the checkpoint format.
+        for (attack, key) in [
+            (AttackKind::Manip { h: 4 }, "h"),
+            (AttackKind::MgaIpa { r: 7 }, "r"),
+            (AttackKind::MultiAdaptive { attackers: 5 }, "attackers"),
+        ] {
+            assert!(attack_to_json(Some(attack)).get(key).is_some(), "{key}");
         }
         assert!(
             attack_from_json(&Json::Obj(vec![("kind".into(), Json::Str("ddos".into()))])).is_err()
