@@ -11,9 +11,11 @@
 //! [`DefenseArm`] implementation for the algorithm), and the pipeline
 //! only ever sees the trait.
 //!
-//! * [`DefenseArm`] — the object-safe trait: `name`, [`ArmRequirements`]
-//!   (does the arm consume raw reports? identified targets? randomness?),
-//!   and `run` over an [`ArmContext`].
+//! * [`DefenseArm`] — the object-safe trait: `name` and `run` over an
+//!   [`ArmContext`].
+//! * [`ArmRequirements`] — what a registry kind consumes beyond the
+//!   poisoned estimate (raw reports? identified targets?), read by the
+//!   scheduler before anything runs ([`ArmKind::requirements`]).
 //! * [`ArmContext`] — everything the server side has at recovery time:
 //!   the poisoned frequency estimate, protocol parameters, optionally the
 //!   retained per-user reports, the protocol instance, and an identified
@@ -35,7 +37,7 @@
 //! ```
 //! use ldp_common::{Domain, Result};
 //! use ldp_protocols::PureParams;
-//! use ldprecover::arm::{ArmContext, ArmOutcome, ArmOutput, ArmRequirements, DefenseArm};
+//! use ldprecover::arm::{ArmContext, ArmOutcome, ArmOutput, DefenseArm};
 //! use rand::RngCore;
 //!
 //! /// A toy defense: trust the poisoned estimate, clip + renormalize.
@@ -44,9 +46,6 @@
 //! impl DefenseArm for ClipArm {
 //!     fn name(&self) -> &str {
 //!         "clip"
-//!     }
-//!     fn requirements(&self) -> ArmRequirements {
-//!         ArmRequirements::default() // frequencies only: no reports/targets/rng
 //!     }
 //!     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
 //!         let frequencies = ldprecover::solve::clip_normalize(ctx.poisoned);
@@ -68,8 +67,8 @@
 //! }
 //! ```
 //!
-//! To make it selectable end to end, add an `ArmKind` variant with a name
-//! and metric key, and a line in [`ArmSet::build`].
+//! To make it selectable end to end, add an `ArmKind` variant with a name,
+//! metric key and requirements, and a line in [`ArmSet::build`].
 
 use ldp_common::{LdpError, Result};
 use ldp_protocols::{AnyProtocol, PureParams, Report};
@@ -84,9 +83,8 @@ use crate::solve::PostProcess;
 ///
 /// The scheduler uses these flags *before* running anything: arms that
 /// need raw reports force per-user aggregation (and are ineligible in
-/// count-only settings like the streaming engine), arms that need targets
-/// trigger the target-identification step, and arms that need randomness
-/// are the only ones allowed to advance the trial RNG.
+/// count-only settings like the streaming engine), and arms that need
+/// targets trigger the target-identification step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArmRequirements {
     /// The arm consumes the retained per-user [`Report`]s (e.g. report
@@ -96,8 +94,6 @@ pub struct ArmRequirements {
     /// The arm consumes an identified target set (the partial-knowledge
     /// scenario of paper §V-D).
     pub needs_targets: bool,
-    /// The arm draws from the trial RNG (e.g. subset sampling).
-    pub needs_rng: bool,
 }
 
 /// Everything the server side has at recovery time — the input of every
@@ -105,8 +101,8 @@ pub struct ArmRequirements {
 ///
 /// Only `poisoned`, `params`, and `eta` always exist; the rest depends on
 /// the aggregation mode (reports), the attack (targets), and the caller.
-/// Arms must check their own [`ArmRequirements`] against what is present
-/// and return a clear error when a hard requirement is missing.
+/// Arms must check what they consume against what is present and return
+/// a clear error when a hard requirement is missing.
 #[derive(Debug, Clone, Copy)]
 pub struct ArmContext<'a> {
     /// The poisoned aggregated frequency estimate `f̃_Z` (debiased).
@@ -262,9 +258,6 @@ pub trait DefenseArm: Send + Sync {
     /// The registry/CLI name (e.g. `"recover-star"`).
     fn name(&self) -> &str;
 
-    /// What this arm consumes beyond the poisoned estimate.
-    fn requirements(&self) -> ArmRequirements;
-
     /// Runs the defense on one trial's context.
     ///
     /// # Errors
@@ -363,29 +356,24 @@ impl ArmKind {
         }
     }
 
-    /// The arm's static requirements (what [`DefenseArm::requirements`]
-    /// reports for the shipped implementation).
+    /// What the arm consumes beyond the poisoned estimate.
     pub const fn requirements(self) -> ArmRequirements {
         match self {
             ArmKind::Recover | ArmKind::NormSub | ArmKind::BaseCut => ArmRequirements {
                 needs_reports: false,
                 needs_targets: false,
-                needs_rng: false,
             },
             ArmKind::RecoverStar => ArmRequirements {
                 needs_reports: false,
                 needs_targets: true,
-                needs_rng: false,
             },
             ArmKind::Detection => ArmRequirements {
                 needs_reports: true,
                 needs_targets: true,
-                needs_rng: false,
             },
             ArmKind::Kmeans | ArmKind::RecoverKm => ArmRequirements {
                 needs_reports: true,
                 needs_targets: false,
-                needs_rng: true,
             },
         }
     }
@@ -447,11 +435,6 @@ impl ArmSet {
         Self { kinds }
     }
 
-    /// The empty set (no arms run — aggregation-only trials).
-    pub fn empty() -> Self {
-        Self { kinds: Vec::new() }
-    }
-
     /// Parses a comma-separated arm list (e.g. `"recover,detection,norm-sub"`).
     ///
     /// # Errors
@@ -502,11 +485,6 @@ impl ArmSet {
     /// (triggers the identification step).
     pub fn needs_targets(&self) -> bool {
         self.kinds.iter().any(|k| k.requirements().needs_targets)
-    }
-
-    /// Whether any selected arm draws from the trial RNG.
-    pub fn needs_rng(&self) -> bool {
-        self.kinds.iter().any(|k| k.requirements().needs_rng)
     }
 
     /// Instantiates the executable arms, in canonical order.
@@ -561,10 +539,6 @@ impl DefenseArm for RecoverArm {
         ArmKind::Recover.name()
     }
 
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::Recover.requirements()
-    }
-
     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
         let outcome = ctx.recoverer()?.recover(ctx.poisoned, ctx.params)?;
         Ok(ArmOutcome::single(
@@ -587,10 +561,6 @@ pub struct RecoverStarArm;
 impl DefenseArm for RecoverStarArm {
     fn name(&self) -> &str {
         ArmKind::RecoverStar.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::RecoverStar.requirements()
     }
 
     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
@@ -625,10 +595,6 @@ pub struct DetectionArm;
 impl DefenseArm for DetectionArm {
     fn name(&self) -> &str {
         ArmKind::Detection.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::Detection.requirements()
     }
 
     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
@@ -688,10 +654,6 @@ impl DefenseArm for KMeansFamilyArm {
         }
     }
 
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::Kmeans.requirements()
-    }
-
     fn run(&self, ctx: &ArmContext<'_>, rng: &mut dyn RngCore) -> Result<ArmOutcome> {
         let protocol = ctx.protocol.ok_or_else(|| {
             LdpError::invalid("the k-means arms need the protocol instance in their context")
@@ -748,10 +710,6 @@ impl DefenseArm for NormSubArm {
         ArmKind::NormSub.name()
     }
 
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::NormSub.requirements()
-    }
-
     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
         Ok(ArmOutcome::single(
             ArmKind::NormSub.metric_key(),
@@ -769,10 +727,6 @@ pub struct BaseCutArm;
 impl DefenseArm for BaseCutArm {
     fn name(&self) -> &str {
         ArmKind::BaseCut.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::BaseCut.requirements()
     }
 
     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
@@ -842,20 +796,20 @@ mod tests {
             set,
             ArmSet::parse("recover-star,detection,recover").unwrap()
         );
-        assert!(ArmSet::empty().is_empty());
+        assert!(ArmSet::new([]).is_empty());
         assert_eq!(ArmSet::default().kinds(), &[ArmKind::Recover]);
     }
 
     #[test]
     fn requirement_rollups() {
         let set = ArmSet::new([ArmKind::Recover, ArmKind::NormSub]);
-        assert!(!set.needs_reports() && !set.needs_targets() && !set.needs_rng());
+        assert!(!set.needs_reports() && !set.needs_targets());
         let set = ArmSet::new([ArmKind::Recover, ArmKind::RecoverStar]);
         assert!(set.needs_targets() && !set.needs_reports());
         let set = ArmSet::new([ArmKind::Detection]);
         assert!(set.needs_reports() && set.needs_targets());
         let set = ArmSet::new([ArmKind::RecoverKm]);
-        assert!(set.needs_reports() && set.needs_rng());
+        assert!(set.needs_reports() && !set.needs_targets());
     }
 
     #[test]

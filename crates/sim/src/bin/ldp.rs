@@ -599,21 +599,8 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
 
     // Optional open-registry evaluation of the final merged state: any
     // count-only arm set, eligibility decided by declared requirements.
-    // Each arm's MSE is against the ingested population's realized
-    // frequencies (cheap: no recovery solve involved).
-    let arms: Option<Vec<(String, f64, Vec<f64>)>> = match &args.arms {
-        Some(arms) if engine.epochs_done() > 0 => {
-            let counts = engine.true_counts();
-            let total: u64 = counts.iter().sum();
-            let truth: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
-            let outputs = engine.arm_snapshot(arms)?.into_iter();
-            let mse = |freqs: &[f64]| ldp_sim::metrics::mse(freqs, &truth);
-            Some(
-                outputs
-                    .map(|(key, out)| (key, mse(&out.frequencies), out.frequencies))
-                    .collect(),
-            )
-        }
+    let arms = match &args.arms {
+        Some(arms) if engine.epochs_done() > 0 => Some(score_stream_arms(&engine, arms)?),
         Some(_) => {
             eprintln!("note: --arms skipped (no epochs ingested, nothing to evaluate)");
             None
@@ -730,6 +717,25 @@ fn main() -> Result<()> {
         fmt_mean(&result.mse_genuine)
     );
     Ok(())
+}
+
+/// Runs `arms` on the engine's final window and scores each as
+/// `(metric key, MSE, frequencies)`. The MSE is against the window's
+/// realized truth — the truth the trajectory's MSE columns use — so the
+/// `recover` arm reproduces the last "MSE LDPRecover" in every window mode.
+fn score_stream_arms(engine: &StreamEngine, arms: &ArmSet) -> Result<Vec<(String, f64, Vec<f64>)>> {
+    let truth = engine.recovery_snapshot()?.truth;
+    Ok(engine
+        .arm_snapshot(arms)?
+        .into_iter()
+        .map(|(key, out)| {
+            (
+                key,
+                ldp_sim::metrics::mse(&out.frequencies, &truth),
+                out.frequencies,
+            )
+        })
+        .collect())
 }
 
 /// Prints `table` aligned, or as CSV with `--csv`.
@@ -1075,6 +1081,36 @@ mod tests {
         );
         let resumed = parse_stream(&["--resume", "c.json", "--arms", "recover"]).unwrap();
         assert!(resumed.arms.is_some(), "--arms is not a spec flag");
+    }
+
+    #[test]
+    fn stream_arms_are_scored_against_the_window_truth() {
+        // In every window mode the `recover` arm recovers on the window's
+        // estimate, so scored against the window's truth it reproduces the
+        // trajectory's final MSE bit for bit.
+        for window in ["cumulative", "sliding:2", "decay:0.5"] {
+            let args = parse_stream(&[
+                "--epochs",
+                "3",
+                "--users-per-epoch",
+                "2000",
+                "--window",
+                window,
+            ])
+            .unwrap();
+            let mut engine = StreamEngine::new(args.spec).unwrap();
+            engine.run_to_completion().unwrap();
+            let scores = score_stream_arms(&engine, &ArmSet::default()).unwrap();
+            let last = engine.trajectory().last().unwrap();
+            assert_eq!(scores[0].0, "recover");
+            assert_eq!(
+                scores[0].1.to_bits(),
+                last.mse_recovered.to_bits(),
+                "{window}: arm {} vs trajectory {}",
+                scores[0].1,
+                last.mse_recovered
+            );
+        }
     }
 
     #[test]

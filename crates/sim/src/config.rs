@@ -152,31 +152,6 @@ impl AggregationMode {
             AggregationMode::Batched => Ok(true),
         }
     }
-
-    /// Parses `"per-user" | "batched" | "auto"` (case-insensitive).
-    ///
-    /// # Errors
-    /// [`LdpError::InvalidParameter`] for unknown names.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "per-user" | "peruser" | "per_user" => Ok(AggregationMode::PerUser),
-            "batched" | "batch" => Ok(AggregationMode::Batched),
-            "auto" => Ok(AggregationMode::Auto),
-            other => Err(LdpError::invalid(format!(
-                "unknown aggregation mode '{other}' (per-user|batched|auto)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for AggregationMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            AggregationMode::PerUser => "per-user",
-            AggregationMode::Batched => "batched",
-            AggregationMode::Auto => "auto",
-        })
-    }
 }
 
 /// Which defense arms a pipeline run executes, plus the knobs they share.
@@ -360,24 +335,6 @@ mod tests {
         assert_eq!(
             PipelineOptions::full_comparison().aggregation,
             AggregationMode::Auto
-        );
-    }
-
-    #[test]
-    fn aggregation_mode_parse_and_display() {
-        for (name, mode) in [
-            ("per-user", AggregationMode::PerUser),
-            ("PerUser", AggregationMode::PerUser),
-            ("batched", AggregationMode::Batched),
-            ("BATCH", AggregationMode::Batched),
-            ("auto", AggregationMode::Auto),
-        ] {
-            assert_eq!(AggregationMode::parse(name).unwrap(), mode);
-        }
-        assert!(AggregationMode::parse("vectorized").is_err());
-        assert_eq!(
-            AggregationMode::parse(&AggregationMode::Batched.to_string()).unwrap(),
-            AggregationMode::Batched
         );
     }
 }

@@ -195,7 +195,8 @@ impl MetricBuffers {
     }
 }
 
-/// Runs `config.trials` independent trials and summarizes every metric.
+/// Runs `config.trials` independent trials and summarizes every metric:
+/// an η sweep ([`run_eta_sweep`]) of the one η `config.eta`.
 ///
 /// Trials run on `min(available cores, trials)` threads. Every trial owns
 /// an RNG stream derived from `(seed, trial)` and results are folded in
@@ -210,21 +211,8 @@ pub fn run_experiment(
     config: &ExperimentConfig,
     options: &PipelineOptions,
 ) -> Result<ExperimentResult> {
-    config.validate()?;
-    let results = map_trials_with(
-        config.trials,
-        thread_count(config.trials),
-        crate::pipeline::TrialArena::new,
-        |trial, arena| {
-            let mut rng = rng_from_seed(derive_seed(config.seed, trial as u64));
-            crate::pipeline::run_trial_with(config, options, &mut rng, arena)
-        },
-    )?;
-    let mut buffers = MetricBuffers::default();
-    for result in &results {
-        buffers.push_trial(result)?;
-    }
-    Ok(buffers.summarize(config.clone()))
+    let mut results = run_eta_sweep(config, std::slice::from_ref(&config.eta), options)?;
+    Ok(results.swap_remove(0))
 }
 
 /// Worker count for a trial batch: `min(available cores, trials)`.
@@ -317,10 +305,10 @@ where
 /// cores by the same machinery as [`run_experiment`].
 ///
 /// Every `(trial, η)` cell gets its own RNG stream: a clone of the trial
-/// RNG taken right after aggregation — exactly the state a standalone
-/// [`run_experiment`] at that η would hand to the recovery arms. Cells are
-/// therefore bit-identical to standalone runs and independent of which
-/// *other* η values share the sweep (regression-tested by
+/// RNG taken right after aggregation — exactly the state
+/// [`crate::pipeline::run_trial`] at that η hands to the recovery arms.
+/// Cells are therefore bit-identical to standalone runs and independent
+/// of which *other* η values share the sweep (regression-tested by
 /// `eta_sweep_cells_match_standalone_runs`; threading one RNG through all
 /// ηs used to couple the k-means arm across cells).
 ///
@@ -455,8 +443,8 @@ mod tests {
     #[test]
     fn eta_sweep_cells_match_standalone_runs() {
         // The RNG-coupling regression: with an rng-consuming arm (k-means)
-        // configured, each (trial, η) cell must be bit-identical to a
-        // standalone run_experiment at that η — in particular independent
+        // configured, each (trial, η) cell must be bit-identical to
+        // standalone run_trial calls at that η — in particular independent
         // of which *other* η values share the sweep. The old code threaded
         // one RNG through every η in sequence, so a cell's k-means draws
         // depended on its position in the grid.
@@ -472,7 +460,13 @@ mod tests {
         for (cell, &eta) in swept.iter().zip(&etas) {
             let mut standalone_cfg = config.clone();
             standalone_cfg.eta = eta;
-            let standalone = run_experiment(&standalone_cfg, &options).unwrap();
+            let mut buffers = MetricBuffers::default();
+            for trial in 0..config.trials {
+                let mut rng = rng_from_seed(derive_seed(config.seed, trial as u64));
+                let result = crate::pipeline::run_trial(&standalone_cfg, &options, &mut rng);
+                buffers.push_trial(&result.unwrap()).unwrap();
+            }
+            let standalone = buffers.summarize(standalone_cfg);
             assert_eq!(
                 cell.mse_recover().unwrap().mean.to_bits(),
                 standalone.mse_recover().unwrap().mean.to_bits(),

@@ -2,8 +2,8 @@
 //!
 //! The engine's randomness is derived per `(shard, epoch)` from the master
 //! seed, so a checkpoint never has to serialize RNG state: the complete
-//! resumable state is the spec, the epoch cursor, the cumulative count
-//! accumulators, and the trajectory. Everything round-trips through the
+//! resumable state is the spec, the epoch cursor, the running count total,
+//! the window state, and the trajectory. Everything round-trips through the
 //! shared JSON value layer ([`ldp_common::json`]) — floats in their
 //! shortest round-tripping decimal form (bit-exact on re-parse), the
 //! full-width `u64` master seed as a decimal string (JSON numbers are
@@ -19,9 +19,9 @@ use ldp_attacks::AttackKind;
 use ldp_common::float::exactly_zero;
 use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::DatasetKind;
-use ldp_protocols::{CountAccumulator, ProtocolKind};
+use ldp_protocols::ProtocolKind;
 
-use super::window::{EpochAggregate, WindowMode, WindowState};
+use super::window::{WindowAggregate, WindowMode, WindowState};
 use super::{EpochPoint, ShardDelta, StreamEngine, StreamSpec};
 
 /// Format tag guarding against feeding scenario reports (or arbitrary
@@ -32,6 +32,27 @@ const VERSION: f64 = 1.0;
 
 /// Largest integer a JSON number can carry exactly.
 const MAX_SAFE_INT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// Member names of a count record's five fields, in order: population,
+/// genuine counts, genuine reports, malicious counts, malicious reports.
+type RecordKeys = [&'static str; 5];
+/// A [`ShardDelta`] on the wire ([`delta_to_json`]).
+const DELTA_KEYS: RecordKeys = [
+    "population",
+    "genuine_counts",
+    "genuine_users",
+    "malicious_counts",
+    "malicious_users",
+];
+/// A record in the checkpoint's `window_state` (sliding epochs, decayed
+/// state).
+const WINDOW_KEYS: RecordKeys = [
+    "truth",
+    "genuine_counts",
+    "genuine_reports",
+    "malicious_counts",
+    "malicious_reports",
+];
 
 pub(crate) fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json> {
     json.get(key)
@@ -174,17 +195,52 @@ pub fn spec_from_json(json: &Json) -> Result<StreamSpec> {
     Ok(spec)
 }
 
-fn accumulator_to_json(acc: &CountAccumulator) -> Json {
+fn counts_json(v: &[u64]) -> Json {
+    Json::Arr(v.iter().map(|&c| Json::Num(c as f64)).collect())
+}
+
+fn floats_json(v: &[f64]) -> Json {
+    Json::Arr(v.iter().map(|&x| Json::Num(x)).collect())
+}
+
+/// Names a record's five serialized fields with `keys`.
+fn record_members(keys: RecordKeys, values: [Json; 5]) -> Vec<(String, Json)> {
+    keys.iter().map(|k| k.to_string()).zip(values).collect()
+}
+
+fn delta_members(keys: RecordKeys, delta: &ShardDelta) -> Vec<(String, Json)> {
+    record_members(
+        keys,
+        [
+            counts_json(&delta.population),
+            counts_json(&delta.genuine_counts),
+            Json::Num(delta.genuine_users as f64),
+            counts_json(&delta.malicious_counts),
+            Json::Num(delta.malicious_users as f64),
+        ],
+    )
+}
+
+fn delta_from_members(json: &Json, keys: RecordKeys, d: usize) -> Result<ShardDelta> {
+    Ok(ShardDelta {
+        population: counts_field(json, keys[0], d)?,
+        genuine_counts: counts_field(json, keys[1], d)?,
+        genuine_users: usize_field(json, keys[2])?,
+        malicious_counts: counts_field(json, keys[3], d)?,
+        malicious_users: usize_field(json, keys[4])?,
+    })
+}
+
+/// One side (genuine or malicious) of the running total, as the
+/// checkpoint's `{counts, reports}` member.
+fn side_to_json(counts: &[u64], reports: usize) -> Json {
     Json::Obj(vec![
-        (
-            "counts".into(),
-            Json::Arr(acc.counts().iter().map(|&c| Json::Num(c as f64)).collect()),
-        ),
-        ("reports".into(), Json::Num(acc.report_count() as f64)),
+        ("counts".into(), counts_json(counts)),
+        ("reports".into(), Json::Num(reports as f64)),
     ])
 }
 
-fn accumulator_from_json(json: &Json, len: usize) -> Result<CountAccumulator> {
+fn side_from_json(json: &Json, len: usize) -> Result<(Vec<u64>, usize)> {
     let counts = counts_field(json, "counts", len)?;
     let reports = usize_field(json, "reports")?;
     // Zero reports can only ever have accumulated zero support.
@@ -193,28 +249,13 @@ fn accumulator_from_json(json: &Json, len: usize) -> Result<CountAccumulator> {
             "checkpoint: accumulator has support counts but zero reports",
         ));
     }
-    Ok(CountAccumulator::from_parts(counts, reports))
+    Ok((counts, reports))
 }
 
 /// Serializes a shard delta — the payload format of the multi-process
-/// wire protocol ([`super::transport`]), deliberately identical in shape
-/// to the checkpoint's accumulator members so a delta on the wire is a
-/// checkpoint fragment.
+/// wire protocol ([`super::transport`]).
 pub fn delta_to_json(delta: &ShardDelta) -> Json {
-    let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::Num(c as f64)).collect());
-    Json::Obj(vec![
-        ("population".into(), counts(&delta.population)),
-        ("genuine_counts".into(), counts(&delta.genuine_counts)),
-        (
-            "genuine_users".into(),
-            Json::Num(delta.genuine_users as f64),
-        ),
-        ("malicious_counts".into(), counts(&delta.malicious_counts)),
-        (
-            "malicious_users".into(),
-            Json::Num(delta.malicious_users as f64),
-        ),
-    ])
+    Json::Obj(delta_members(DELTA_KEYS, delta))
 }
 
 /// Parses a shard delta serialized by [`delta_to_json`], re-validating
@@ -224,13 +265,7 @@ pub fn delta_to_json(delta: &ShardDelta) -> Json {
 /// [`LdpError::InvalidParameter`] for malformed fields or wrong-length
 /// count vectors.
 pub fn delta_from_json(json: &Json, domain_size: usize) -> Result<ShardDelta> {
-    Ok(ShardDelta {
-        population: counts_field(json, "population", domain_size)?,
-        genuine_counts: counts_field(json, "genuine_counts", domain_size)?,
-        genuine_users: usize_field(json, "genuine_users")?,
-        malicious_counts: counts_field(json, "malicious_counts", domain_size)?,
-        malicious_users: usize_field(json, "malicious_users")?,
-    })
+    delta_from_members(json, DELTA_KEYS, domain_size)
 }
 
 fn floats_field(json: &Json, key: &str, len: usize) -> Result<Vec<f64>> {
@@ -268,60 +303,37 @@ fn nonneg_f64_field(json: &Json, key: &str) -> Result<f64> {
     Ok(x)
 }
 
-fn epoch_aggregate_to_json(epoch: &EpochAggregate) -> Json {
-    let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::Num(c as f64)).collect());
-    Json::Obj(vec![
-        ("truth".into(), counts(&epoch.truth)),
-        ("genuine_counts".into(), counts(&epoch.genuine_counts)),
-        (
-            "genuine_reports".into(),
-            Json::Num(epoch.genuine_reports as f64),
-        ),
-        ("malicious_counts".into(), counts(&epoch.malicious_counts)),
-        (
-            "malicious_reports".into(),
-            Json::Num(epoch.malicious_reports as f64),
-        ),
-    ])
-}
-
-fn epoch_aggregate_from_json(json: &Json, d: usize) -> Result<EpochAggregate> {
-    Ok(EpochAggregate {
-        truth: counts_field(json, "truth", d)?,
-        genuine_counts: counts_field(json, "genuine_counts", d)?,
-        genuine_reports: usize_field(json, "genuine_reports")?,
-        malicious_counts: counts_field(json, "malicious_counts", d)?,
-        malicious_reports: usize_field(json, "malicious_reports")?,
-    })
-}
-
-/// Serializes the windowed state (`None` for cumulative mode, which
-/// keeps no window state — and no checkpoint member).
+/// Serializes the window state (`None` for cumulative mode, which keeps
+/// no state of its own — and no checkpoint member).
 fn window_state_to_json(state: &WindowState) -> Option<Json> {
-    let floats = |v: &[f64]| Json::Arr(v.iter().map(|&x| Json::Num(x)).collect());
     match state {
         WindowState::Cumulative => None,
         WindowState::Sliding { history } => Some(Json::Obj(vec![
             ("kind".into(), Json::Str("sliding".into())),
             (
                 "epochs".into(),
-                Json::Arr(history.iter().map(epoch_aggregate_to_json).collect()),
+                Json::Arr(
+                    history
+                        .iter()
+                        .map(|epoch| Json::Obj(delta_members(WINDOW_KEYS, epoch)))
+                        .collect(),
+                ),
             ),
         ])),
-        WindowState::Decay {
-            truth,
-            genuine_counts,
-            genuine_reports,
-            malicious_counts,
-            malicious_reports,
-        } => Some(Json::Obj(vec![
-            ("kind".into(), Json::Str("decay".into())),
-            ("truth".into(), floats(truth)),
-            ("genuine_counts".into(), floats(genuine_counts)),
-            ("genuine_reports".into(), Json::Num(*genuine_reports)),
-            ("malicious_counts".into(), floats(malicious_counts)),
-            ("malicious_reports".into(), Json::Num(*malicious_reports)),
-        ])),
+        WindowState::Decay(agg) => {
+            let mut members = vec![("kind".into(), Json::Str("decay".into()))];
+            members.extend(record_members(
+                WINDOW_KEYS,
+                [
+                    floats_json(&agg.truth),
+                    floats_json(&agg.genuine_counts),
+                    Json::Num(agg.genuine_reports),
+                    floats_json(&agg.malicious_counts),
+                    Json::Num(agg.malicious_reports),
+                ],
+            ));
+            Some(Json::Obj(members))
+        }
     }
 }
 
@@ -358,7 +370,7 @@ fn window_state_from_json(
             }
             let history = epochs
                 .iter()
-                .map(|e| epoch_aggregate_from_json(e, d))
+                .map(|e| delta_from_members(e, WINDOW_KEYS, d))
                 .collect::<Result<_>>()?;
             Ok(WindowState::Sliding { history })
         }
@@ -368,13 +380,13 @@ fn window_state_from_json(
                     "checkpoint: window_state kind disagrees with the spec window",
                 ));
             }
-            Ok(WindowState::Decay {
-                truth: floats_field(json, "truth", d)?,
-                genuine_counts: floats_field(json, "genuine_counts", d)?,
-                genuine_reports: nonneg_f64_field(json, "genuine_reports")?,
-                malicious_counts: floats_field(json, "malicious_counts", d)?,
-                malicious_reports: nonneg_f64_field(json, "malicious_reports")?,
-            })
+            Ok(WindowState::Decay(WindowAggregate {
+                truth: floats_field(json, WINDOW_KEYS[0], d)?,
+                genuine_counts: floats_field(json, WINDOW_KEYS[1], d)?,
+                genuine_reports: nonneg_f64_field(json, WINDOW_KEYS[2])?,
+                malicious_counts: floats_field(json, WINDOW_KEYS[3], d)?,
+                malicious_reports: nonneg_f64_field(json, WINDOW_KEYS[4])?,
+            }))
         }
     }
 }
@@ -405,17 +417,15 @@ impl StreamEngine {
             ("version".into(), Json::Num(VERSION)),
             ("spec".into(), spec_to_json(&self.spec)),
             ("next_epoch".into(), Json::Num(self.next_epoch as f64)),
+            ("true_counts".into(), counts_json(&self.total.population)),
             (
-                "true_counts".into(),
-                Json::Arr(
-                    self.true_counts
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
+                "genuine".into(),
+                side_to_json(&self.total.genuine_counts, self.total.genuine_users),
             ),
-            ("genuine".into(), accumulator_to_json(&self.genuine)),
-            ("malicious".into(), accumulator_to_json(&self.malicious)),
+            (
+                "malicious".into(),
+                side_to_json(&self.total.malicious_counts, self.total.malicious_users),
+            ),
             ("trajectory".into(), Json::Arr(trajectory)),
         ];
         if let Some(window_state) = window_state_to_json(&self.window) {
@@ -450,9 +460,16 @@ impl StreamEngine {
                 spec.epochs
             )));
         }
-        let true_counts = counts_field(json, "true_counts", d)?;
-        let genuine = accumulator_from_json(field(json, "genuine")?, d)?;
-        let malicious = accumulator_from_json(field(json, "malicious")?, d)?;
+        let population = counts_field(json, "true_counts", d)?;
+        let (genuine_counts, genuine_users) = side_from_json(field(json, "genuine")?, d)?;
+        let (malicious_counts, malicious_users) = side_from_json(field(json, "malicious")?, d)?;
+        let total = ShardDelta {
+            population,
+            genuine_counts,
+            genuine_users,
+            malicious_counts,
+            malicious_users,
+        };
 
         let trajectory_json = field(json, "trajectory")?
             .as_array()
@@ -481,21 +498,21 @@ impl StreamEngine {
         // Cross-field invariants: every genuine report corresponds to one
         // population member, and the trajectory's tail matches the
         // accumulated state.
-        if true_counts.iter().sum::<u64>() != genuine.report_count() as u64 {
+        if total.population.iter().sum::<u64>() != total.genuine_users as u64 {
             return Err(LdpError::invalid(
                 "checkpoint: population total disagrees with genuine report count",
             ));
         }
         if let Some(last) = trajectory.last() {
             if last.epoch + 1 != next_epoch
-                || last.genuine_users != genuine.report_count()
-                || last.malicious_users != malicious.report_count()
+                || last.genuine_users != total.genuine_users
+                || last.malicious_users != total.malicious_users
             {
                 return Err(LdpError::invalid(
                     "checkpoint: trajectory tail disagrees with accumulated state",
                 ));
             }
-        } else if genuine.report_count() != 0 || malicious.report_count() != 0 {
+        } else if total.genuine_users != 0 || total.malicious_users != 0 {
             return Err(LdpError::invalid(
                 "checkpoint: reports accumulated but trajectory is empty",
             ));
@@ -508,9 +525,7 @@ impl StreamEngine {
             spec,
             protocol,
             next_epoch,
-            true_counts,
-            genuine,
-            malicious,
+            total,
             window,
             trajectory,
         })

@@ -20,9 +20,16 @@
 //!   reports are crafted individually — the attack decides their joint
 //!   shape — and folded into a separate accumulator, exactly as the
 //!   offline pipeline does.
+//! * **One count record** — [`ShardDelta`] (population histogram,
+//!   genuine and malicious support counts, and their report totals) with
+//!   its exact `u64` [`ShardDelta::merge`] is a shard's delta, an epoch's
+//!   sum, a sliding-window entry, and the engine's running total alike.
 //! * **Epoch boundaries** — after every epoch the shard deltas merge into
-//!   the engine's cumulative state and the `recover` defense arm
-//!   (`ldprecover::arm`) runs on the debiased merged counts, producing a
+//!   one epoch sum, which joins the running total and the recovery
+//!   [`window`]. The window yields a [`WindowAggregate`] (cumulative mode
+//!   is the window that keeps every epoch), which is debiased on the one
+//!   float estimate path, and the `recover` defense arm
+//!   (`ldprecover::arm`) runs on the result, producing a
 //!   recovery-accuracy-vs-reports-seen trajectory. Any *count-only* arm
 //!   set can be evaluated on the same state via
 //!   [`StreamEngine::arm_snapshot`]: an arm's
@@ -58,7 +65,7 @@ pub mod transport;
 pub mod window;
 pub mod worker;
 
-pub use window::{EpochAggregate, WindowAggregate, WindowMode, WindowState};
+pub use window::{WindowAggregate, WindowMode, WindowState};
 
 use ldp_attacks::AttackKind;
 use ldp_common::float::exactly_zero;
@@ -211,8 +218,10 @@ impl StreamSpec {
     }
 }
 
-/// One shard's contribution to one epoch: population histogram, aggregated
-/// genuine support counts, and malicious support counts.
+/// The engine's integer count record: population histogram, aggregated
+/// genuine support counts, and malicious support counts, with their
+/// report totals. It is one shard's contribution to one epoch, and —
+/// merged — an epoch's sum, a sliding-window entry, and the running total.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardDelta {
     /// The epoch's genuine population histogram (ground truth delta).
@@ -225,6 +234,43 @@ pub struct ShardDelta {
     pub malicious_counts: Vec<u64>,
     /// Malicious reports in this delta.
     pub malicious_users: usize,
+}
+
+impl ShardDelta {
+    /// The empty record over a `domain_size` item domain (the merge
+    /// identity).
+    pub fn zero(domain_size: usize) -> Self {
+        ShardDelta {
+            population: vec![0; domain_size],
+            genuine_counts: vec![0; domain_size],
+            genuine_users: 0,
+            malicious_counts: vec![0; domain_size],
+            malicious_users: 0,
+        }
+    }
+
+    /// Adds `other` in: exact element-wise `u64` addition, so merges
+    /// commute and associate bit for bit.
+    ///
+    /// # Panics
+    /// When the two records span different domains.
+    pub fn merge(&mut self, other: &ShardDelta) {
+        let add = |mine: &mut Vec<u64>, theirs: &[u64]| {
+            assert_eq!(
+                mine.len(),
+                theirs.len(),
+                "cannot merge deltas over different domains"
+            );
+            for (slot, &c) in mine.iter_mut().zip(theirs) {
+                *slot += c;
+            }
+        };
+        add(&mut self.population, &other.population);
+        add(&mut self.genuine_counts, &other.genuine_counts);
+        add(&mut self.malicious_counts, &other.malicious_counts);
+        self.genuine_users += other.genuine_users;
+        self.malicious_users += other.malicious_users;
+    }
 }
 
 /// Computes the delta of one `(shard, epoch)` cell from its derived RNG
@@ -280,7 +326,8 @@ pub fn shard_epoch_delta(spec: &StreamSpec, shard: usize, epoch: usize) -> Resul
 }
 
 /// One point of the recovery-accuracy-vs-reports-seen trajectory,
-/// captured at an epoch boundary over the *cumulative* merged state.
+/// captured at an epoch boundary: cumulative report counts, and MSEs over
+/// the recovery window (the whole stream in cumulative mode).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochPoint {
     /// 0-based epoch index.
@@ -291,9 +338,9 @@ pub struct EpochPoint {
     pub malicious_users: usize,
     /// Cumulative reports seen (genuine + malicious).
     pub reports_seen: usize,
-    /// MSE of the poisoned estimate vs the realized truth so far.
+    /// MSE of the window's poisoned estimate vs the window's realized truth.
     pub mse_before: f64,
-    /// MSE of the recovered estimate vs the realized truth so far.
+    /// MSE of the window's recovered estimate vs the window's realized truth.
     pub mse_recovered: f64,
     /// MSE of the genuine-only estimate (the LDP noise floor online).
     pub mse_genuine: f64,
@@ -316,8 +363,8 @@ pub struct RecoverySnapshot {
 
 /// The sharded streaming ingestion engine.
 ///
-/// Holds the cumulative merged state (population truth, genuine and
-/// malicious accumulators) plus the epoch trajectory. [`StreamEngine::step`]
+/// Holds the running total of every ingested delta, the recovery window,
+/// and the epoch trajectory. [`StreamEngine::step`]
 /// ingests one epoch: shard deltas are computed in parallel (each from its
 /// own derived stream), folded in shard order, and recovery runs on the
 /// merged counts. Results are bit-identical for any worker count, and —
@@ -327,9 +374,7 @@ pub struct StreamEngine {
     spec: StreamSpec,
     protocol: AnyProtocol,
     next_epoch: usize,
-    true_counts: Vec<u64>,
-    genuine: CountAccumulator,
-    malicious: CountAccumulator,
+    total: ShardDelta,
     window: WindowState,
     trajectory: Vec<EpochPoint>,
 }
@@ -341,9 +386,7 @@ impl PartialEq for StreamEngine {
     fn eq(&self, other: &Self) -> bool {
         self.spec == other.spec
             && self.next_epoch == other.next_epoch
-            && self.true_counts == other.true_counts
-            && self.genuine == other.genuine
-            && self.malicious == other.malicious
+            && self.total == other.total
             && self.window == other.window
             && self.trajectory == other.trajectory
     }
@@ -362,9 +405,7 @@ impl StreamEngine {
             spec,
             protocol,
             next_epoch: 0,
-            true_counts: vec![0; domain.size()],
-            genuine: CountAccumulator::new(domain),
-            malicious: CountAccumulator::new(domain),
+            total: ShardDelta::zero(domain.size()),
             window: WindowState::new(spec.window, domain.size()),
             trajectory: Vec::new(),
         })
@@ -385,26 +426,10 @@ impl StreamEngine {
         self.next_epoch >= self.spec.epochs
     }
 
-    /// The cumulative genuine accumulator.
-    pub fn genuine(&self) -> &CountAccumulator {
-        &self.genuine
-    }
-
-    /// The cumulative malicious accumulator.
-    pub fn malicious(&self) -> &CountAccumulator {
-        &self.malicious
-    }
-
-    /// The merged poisoned accumulator (genuine + malicious).
-    pub fn poisoned(&self) -> CountAccumulator {
-        let mut poisoned = self.genuine.clone();
-        poisoned.merge(&self.malicious);
-        poisoned
-    }
-
-    /// The cumulative realized population histogram (ground truth).
-    pub fn true_counts(&self) -> &[u64] {
-        &self.true_counts
+    /// The running total of every ingested delta: the cumulative
+    /// population histogram and genuine/malicious counts and reports.
+    pub fn total(&self) -> &ShardDelta {
+        &self.total
     }
 
     /// The trajectory captured so far, one point per ingested epoch.
@@ -438,8 +463,8 @@ impl StreamEngine {
     /// computed, in whatever order they arrived — into the engine and
     /// runs boundary recovery. This is the merge half of [`Self::step`],
     /// shared with the multi-process [`coordinator`]: because the fold is
-    /// exact element-wise `u64` addition (the [`CountAccumulator`] merge
-    /// monoid), any arrival order produces bit-identical state.
+    /// exact element-wise `u64` addition ([`ShardDelta::merge`]), any
+    /// arrival order produces bit-identical state.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] when the stream is complete,
@@ -488,32 +513,20 @@ impl StreamEngine {
             )));
         }
 
+        let mut epoch_sum = ShardDelta::zero(domain_size);
         for (_, delta) in deltas {
-            for (slot, &c) in self.true_counts.iter_mut().zip(&delta.population) {
-                *slot += c;
-            }
-            self.genuine.merge(&CountAccumulator::from_parts(
-                delta.genuine_counts.clone(),
-                delta.genuine_users,
-            ));
-            self.malicious.merge(&CountAccumulator::from_parts(
-                delta.malicious_counts.clone(),
-                delta.malicious_users,
-            ));
+            epoch_sum.merge(delta);
         }
-        let epoch_agg = EpochAggregate::from_deltas(
-            domain_size,
-            &deltas.iter().map(|(_, d)| d).collect::<Vec<_>>(),
-        );
-        self.window.absorb(self.spec.window, epoch_agg)?;
+        self.total.merge(&epoch_sum);
+        self.window.absorb(self.spec.window, epoch_sum)?;
         self.next_epoch += 1;
 
         let snapshot = self.recovery_snapshot()?;
         let point = EpochPoint {
             epoch,
-            genuine_users: self.genuine.report_count(),
-            malicious_users: self.malicious.report_count(),
-            reports_seen: self.genuine.report_count() + self.malicious.report_count(),
+            genuine_users: self.total.genuine_users,
+            malicious_users: self.total.malicious_users,
+            reports_seen: self.total.genuine_users + self.total.malicious_users,
             mse_before: mse(&snapshot.poisoned_estimate, &snapshot.truth),
             mse_recovered: mse(&snapshot.recovered, &snapshot.truth),
             mse_genuine: mse(&snapshot.genuine_estimate, &snapshot.truth),
@@ -533,14 +546,13 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Debiases and recovers the current merged state (on demand; pure in
+    /// Debiases and recovers the window's aggregate (on demand; pure in
     /// the accumulated counts). Recovery runs the `recover` defense arm
     /// on a count-only [`ArmContext`] — exactly debias-then-recover, the
-    /// historical `recover_from_counts` path bit for bit. In a windowed
-    /// mode ([`WindowMode::Sliding`] / [`WindowMode::Decay`]) every
-    /// vector is computed over the windowed state instead of the
-    /// cumulative one; the debias map is linear in `(count, reports)`,
-    /// so the float-count path is the exact windowed estimator.
+    /// historical `recover_from_counts` path bit for bit. Every mode,
+    /// cumulative included, reads its [`WindowAggregate`]; the debias map
+    /// is linear in `(count, reports)`, so the float-count path is the
+    /// exact windowed estimator.
     ///
     /// # Errors
     /// [`LdpError::EmptyInput`] before the first epoch (or when the
@@ -557,29 +569,16 @@ impl StreamEngine {
         })
     }
 
-    /// `(truth, genuine_estimate, poisoned_estimate)` of the state the
-    /// snapshot reads — cumulative integer path, or the windowed float
-    /// path when the spec runs a window.
+    /// `(truth, genuine_estimate, poisoned_estimate)` of the window's
+    /// aggregate.
     fn current_estimates(&self) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>)> {
         let params = self.protocol.params();
-        let Some(agg) = self.window.aggregate(self.spec.domain().size()) else {
-            let total: u64 = self.true_counts.iter().sum();
-            if total == 0 {
-                return Err(LdpError::EmptyInput("stream state (no epochs ingested)"));
-            }
-            let truth: Vec<f64> = self
-                .true_counts
-                .iter()
-                .map(|&c| c as f64 / total as f64)
-                .collect();
-            let genuine_estimate = self.genuine.frequencies(params)?;
-            let poisoned = self.poisoned();
-            let poisoned_estimate = poisoned.frequencies(params)?;
-            return Ok((truth, genuine_estimate, poisoned_estimate));
-        };
+        let agg = self.window.aggregate(&self.total);
         let total: f64 = agg.truth.iter().sum();
         if total <= 0.0 || total.is_nan() {
-            return Err(LdpError::EmptyInput("windowed stream state (empty window)"));
+            return Err(LdpError::EmptyInput(
+                "stream window (no population ingested)",
+            ));
         }
         let truth: Vec<f64> = agg.truth.iter().map(|&c| c / total).collect();
         let genuine_estimate = debias_window(params, &agg.genuine_counts, agg.genuine_reports)?;
@@ -611,8 +610,7 @@ impl StreamEngine {
         }
     }
 
-    /// The engine's windowed state (cumulative mode keeps none) — read
-    /// by the checkpoint layer.
+    /// The engine's window state (cumulative mode keeps none of its own).
     pub fn window_state(&self) -> &WindowState {
         &self.window
     }
@@ -623,7 +621,7 @@ impl StreamEngine {
     /// materializes per-user reports, so a set containing a
     /// report-consuming arm (detection, k-means) is rejected up front.
     /// Partial-knowledge arms get targets identified online via the
-    /// paper's top-k-increase rule, with the cumulative genuine-only
+    /// paper's top-k-increase rule, with the window's genuine-only
     /// estimate standing in for historical data; arms that degenerate
     /// (e.g. the star arm on a clean stream) are skipped.
     ///
@@ -651,12 +649,12 @@ impl StreamEngine {
         }
         let params = self.protocol.params();
         let (_truth, genuine_estimate, poisoned_estimate) = self.current_estimates()?;
-        let targets: Option<Vec<usize>> =
-            if arms.needs_targets() && self.malicious.report_count() > 0 {
-                top_k_increase(&poisoned_estimate, &genuine_estimate, STREAM_STAR_TOP_K).ok()
-            } else {
-                None
-            };
+        let targets: Option<Vec<usize>> = if arms.needs_targets() && self.total.malicious_users > 0
+        {
+            top_k_increase(&poisoned_estimate, &genuine_estimate, STREAM_STAR_TOP_K).ok()
+        } else {
+            None
+        };
         let mut ctx = ArmContext::new(&poisoned_estimate, params, self.spec.eta)
             .with_protocol(&self.protocol);
         if let Some(targets) = &targets {
@@ -696,7 +694,7 @@ impl StreamEngine {
             Json::Obj(vec![
                 (
                     "reports_seen".into(),
-                    Json::Num((self.genuine.report_count() + self.malicious.report_count()) as f64),
+                    Json::Num((self.total.genuine_users + self.total.malicious_users) as f64),
                 ),
                 ("recovered".into(), floats(&snapshot.recovered)),
                 (
@@ -721,8 +719,9 @@ impl StreamEngine {
 
 /// Debiases windowed float support counts into frequency estimates —
 /// the [`PureParams::debias_frequencies`](ldp_protocols) map with the
-/// integer counts generalized to window mass (exact for sliding windows,
-/// the precise geometric mixture for decay).
+/// integer counts generalized to window mass (the exact counts for the
+/// cumulative and sliding windows, the precise geometric mixture for
+/// decay).
 fn debias_window(
     params: ldp_protocols::PureParams,
     counts: &[f64],
@@ -837,8 +836,8 @@ mod tests {
         assert_eq!(engine.trajectory().len(), 2);
         // Cumulative state is consistent.
         assert_eq!(
-            engine.true_counts().iter().sum::<u64>(),
-            engine.genuine().report_count() as u64
+            engine.total().population.iter().sum::<u64>(),
+            engine.total().genuine_users as u64
         );
         let snapshot = engine.recovery_snapshot().unwrap();
         assert_eq!(snapshot.recovered.len(), spec.domain().size());
@@ -874,8 +873,8 @@ mod tests {
         spec.epochs = 1;
         let mut engine = StreamEngine::new(spec).unwrap();
         engine.step().unwrap();
-        assert_eq!(engine.malicious().report_count(), 0);
-        assert!(engine.malicious().counts().iter().all(|&c| c == 0));
+        assert_eq!(engine.total().malicious_users, 0);
+        assert!(engine.total().malicious_counts.iter().all(|&c| c == 0));
         let snapshot = engine.recovery_snapshot().unwrap();
         assert_eq!(snapshot.genuine_estimate, snapshot.poisoned_estimate);
     }
@@ -1003,8 +1002,8 @@ mod tests {
     #[test]
     fn sliding_window_spanning_the_stream_matches_cumulative() {
         // A sliding window at least as long as the stream holds exactly
-        // the cumulative counts (integer sums represented exactly in
-        // f64), so the windowed float path must land on the same bits.
+        // the running total (integer sums represented exactly in f64), so
+        // it must land on the same bits as the cumulative window.
         let cumulative_spec = tiny_spec();
         let mut windowed_spec = cumulative_spec;
         windowed_spec.window = WindowMode::Sliding(cumulative_spec.epochs);
@@ -1050,14 +1049,11 @@ mod tests {
         decay_spec.window = WindowMode::Decay(0.5);
         let mut decayed = StreamEngine::new(decay_spec).unwrap();
         decayed.run_to_completion().unwrap();
-        let WindowState::Decay {
-            genuine_reports, ..
-        } = decayed.window_state()
-        else {
+        let WindowState::Decay(state) = decayed.window_state() else {
             panic!("decay spec keeps decay state");
         };
         // Epoch reports are 400 genuine each: 0.5·400 + 400 = 600.
-        assert_eq!(*genuine_reports, 600.0);
+        assert_eq!(state.genuine_reports, 600.0);
         assert!(ldp_common::vecmath::is_probability_vector(
             &decayed.recovery_snapshot().unwrap().recovered,
             1e-9

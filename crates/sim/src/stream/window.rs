@@ -1,13 +1,16 @@
 //! Windowed recovery modes for the streaming engine.
 //!
-//! Cumulative recovery (the PR 4 default) answers "what happened since
-//! the stream started"; a long-running aggregator usually wants "what is
-//! happening *now*". Two windowed modes share the engine and the
-//! distributed coordinator:
+//! A mode is a window over the stream's epochs, and every window yields
+//! one [`WindowAggregate`] that the engine debiases and recovers on, so
+//! there is a single estimate path for all three. Cumulative answers
+//! "what happened since the stream started"; a long-running aggregator
+//! usually wants "what is happening *now*", which the other two answer:
 //!
-//! * **Sliding** — the recovery state is the exact sum of the last `W`
-//!   epoch aggregates. Integer counts, so the windowed estimate is
-//!   bit-identical to running the batch estimator over those epochs.
+//! * **Cumulative** (the default) — the window that keeps every epoch.
+//!   It reads the engine's running total and keeps no state of its own.
+//! * **Sliding** — the exact sum of the last `W` epoch sums. Integer
+//!   counts, so the windowed estimate is bit-identical to running the
+//!   batch estimator over those epochs.
 //! * **Decay** — exponentially-decaying counts `S_t = λ·S_{t-1} + Δ_t`
 //!   (for truth, genuine, and malicious state alike). The debias map
 //!   `f̃(v) = (c − n·q)/((p−q)·n)` is linear in `(c, n)`, so running it
@@ -105,73 +108,21 @@ impl WindowMode {
     }
 }
 
-/// One epoch's merged (all-shard) aggregate — the unit the sliding
-/// window retains.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochAggregate {
-    /// Merged genuine population histogram of the epoch.
-    pub truth: Vec<u64>,
-    /// Merged genuine support counts.
-    pub genuine_counts: Vec<u64>,
-    /// Genuine reports in the epoch.
-    pub genuine_reports: usize,
-    /// Merged malicious support counts.
-    pub malicious_counts: Vec<u64>,
-    /// Malicious reports in the epoch.
-    pub malicious_reports: usize,
-}
-
-impl EpochAggregate {
-    /// Sums a full epoch's shard deltas (order-independent: exact `u64`
-    /// element-wise addition).
-    pub fn from_deltas(domain_size: usize, deltas: &[&ShardDelta]) -> Self {
-        let mut agg = EpochAggregate {
-            truth: vec![0; domain_size],
-            genuine_counts: vec![0; domain_size],
-            genuine_reports: 0,
-            malicious_counts: vec![0; domain_size],
-            malicious_reports: 0,
-        };
-        for delta in deltas {
-            for (slot, &c) in agg.truth.iter_mut().zip(&delta.population) {
-                *slot += c;
-            }
-            for (slot, &c) in agg.genuine_counts.iter_mut().zip(&delta.genuine_counts) {
-                *slot += c;
-            }
-            for (slot, &c) in agg.malicious_counts.iter_mut().zip(&delta.malicious_counts) {
-                *slot += c;
-            }
-            agg.genuine_reports += delta.genuine_users;
-            agg.malicious_reports += delta.malicious_users;
-        }
-        agg
-    }
-}
-
-/// The windowed counterpart of the engine's cumulative accumulators.
+/// The window state the epoch-boundary recovery reads. Every mode
+/// yields a [`WindowAggregate`] ([`WindowState::aggregate`]): cumulative
+/// mode is the window that keeps every epoch, so it reads the engine's
+/// running total and keeps nothing of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WindowState {
-    /// Cumulative mode keeps no extra state.
+    /// Every epoch since the start: the engine's running total.
     Cumulative,
-    /// The last (up to) `W` epoch aggregates, oldest first.
+    /// The last (up to) `W` epoch sums, oldest first.
     Sliding {
         /// Retained epochs, oldest first; capped at the window span.
-        history: VecDeque<EpochAggregate>,
+        history: VecDeque<ShardDelta>,
     },
     /// Exponentially-decayed float state `S_t = λ·S_{t-1} + Δ_t`.
-    Decay {
-        /// Decayed genuine population histogram.
-        truth: Vec<f64>,
-        /// Decayed genuine support counts.
-        genuine_counts: Vec<f64>,
-        /// Decayed genuine report mass.
-        genuine_reports: f64,
-        /// Decayed malicious support counts.
-        malicious_counts: Vec<f64>,
-        /// Decayed malicious report mass.
-        malicious_reports: f64,
-    },
+    Decay(WindowAggregate),
 }
 
 impl WindowState {
@@ -183,99 +134,49 @@ impl WindowState {
             WindowMode::Sliding(_) => WindowState::Sliding {
                 history: VecDeque::new(),
             },
-            WindowMode::Decay(_) => WindowState::Decay {
-                truth: vec![0.0; domain_size],
-                genuine_counts: vec![0.0; domain_size],
-                genuine_reports: 0.0,
-                malicious_counts: vec![0.0; domain_size],
-                malicious_reports: 0.0,
-            },
+            WindowMode::Decay(_) => WindowState::Decay(WindowAggregate::zero(domain_size)),
         }
     }
 
-    /// Folds one finished epoch into the window.
+    /// Folds one finished epoch's sum into the window.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] when the state variant disagrees
     /// with `mode` (a corrupt checkpoint would be the only way there).
-    pub fn absorb(&mut self, mode: WindowMode, epoch: EpochAggregate) -> Result<()> {
+    pub fn absorb(&mut self, mode: WindowMode, epoch: ShardDelta) -> Result<()> {
         match (self, mode) {
-            (WindowState::Cumulative, WindowMode::Cumulative) => Ok(()),
+            (WindowState::Cumulative, WindowMode::Cumulative) => {}
             (WindowState::Sliding { history }, WindowMode::Sliding(span)) => {
                 history.push_back(epoch);
                 while history.len() > span {
                     history.pop_front();
                 }
-                Ok(())
             }
-            (
-                WindowState::Decay {
-                    truth,
-                    genuine_counts,
-                    genuine_reports,
-                    malicious_counts,
-                    malicious_reports,
-                },
-                WindowMode::Decay(lambda),
-            ) => {
-                let decay_into = |state: &mut [f64], fresh: &[u64]| {
-                    for (slot, &c) in state.iter_mut().zip(fresh) {
-                        *slot = lambda * *slot + c as f64;
-                    }
-                };
-                decay_into(truth, &epoch.truth);
-                decay_into(genuine_counts, &epoch.genuine_counts);
-                decay_into(malicious_counts, &epoch.malicious_counts);
-                *genuine_reports = lambda * *genuine_reports + epoch.genuine_reports as f64;
-                *malicious_reports = lambda * *malicious_reports + epoch.malicious_reports as f64;
-                Ok(())
+            (WindowState::Decay(state), WindowMode::Decay(lambda)) => state.fold(lambda, &epoch),
+            (state, mode) => {
+                return Err(LdpError::invalid(format!(
+                    "window state {state:?} does not match window mode {mode:?}"
+                )))
             }
-            (state, mode) => Err(LdpError::invalid(format!(
-                "window state {state:?} does not match window mode {mode:?}"
-            ))),
         }
+        Ok(())
     }
 
-    /// The windowed float aggregate the recovery snapshot reads, or
-    /// `None` in cumulative mode (which keeps the exact integer path).
-    pub fn aggregate(&self, domain_size: usize) -> Option<WindowAggregate> {
+    /// The float aggregate the recovery snapshot reads: the running
+    /// `total` (cumulative), the sum of the retained epochs (sliding), or
+    /// the decayed state. Integer sums below 2⁵³ are exact in `f64`, so
+    /// the cumulative and sliding aggregates are the exact counts.
+    pub fn aggregate(&self, total: &ShardDelta) -> WindowAggregate {
+        let domain_size = total.population.len();
         match self {
-            WindowState::Cumulative => None,
-            WindowState::Sliding { history } => {
-                let mut agg = WindowAggregate::zero(domain_size);
-                for epoch in history {
-                    for (slot, &c) in agg.truth.iter_mut().zip(&epoch.truth) {
-                        *slot += c as f64;
-                    }
-                    for (slot, &c) in agg.genuine_counts.iter_mut().zip(&epoch.genuine_counts) {
-                        *slot += c as f64;
-                    }
-                    for (slot, &c) in agg.malicious_counts.iter_mut().zip(&epoch.malicious_counts) {
-                        *slot += c as f64;
-                    }
-                    agg.genuine_reports += epoch.genuine_reports as f64;
-                    agg.malicious_reports += epoch.malicious_reports as f64;
-                }
-                Some(agg)
-            }
-            WindowState::Decay {
-                truth,
-                genuine_counts,
-                genuine_reports,
-                malicious_counts,
-                malicious_reports,
-            } => Some(WindowAggregate {
-                truth: truth.clone(),
-                genuine_counts: genuine_counts.clone(),
-                genuine_reports: *genuine_reports,
-                malicious_counts: malicious_counts.clone(),
-                malicious_reports: *malicious_reports,
-            }),
+            WindowState::Cumulative => WindowAggregate::sum([total], domain_size),
+            WindowState::Sliding { history } => WindowAggregate::sum(history, domain_size),
+            WindowState::Decay(state) => state.clone(),
         }
     }
 }
 
-/// Float view of the windowed state a snapshot debiases.
+/// Float view of a window's counts — the record a snapshot debiases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowAggregate {
     /// Windowed genuine population histogram.
@@ -299,6 +200,29 @@ impl WindowAggregate {
             malicious_counts: vec![0.0; domain_size],
             malicious_reports: 0.0,
         }
+    }
+
+    fn sum<'a>(epochs: impl IntoIterator<Item = &'a ShardDelta>, domain_size: usize) -> Self {
+        let mut agg = WindowAggregate::zero(domain_size);
+        for epoch in epochs {
+            agg.fold(1.0, epoch);
+        }
+        agg
+    }
+
+    /// `self ← λ·self + delta`, field by field. With `λ = 1` this is a
+    /// plain sum (`1·x` is exactly `x`).
+    fn fold(&mut self, lambda: f64, delta: &ShardDelta) {
+        let fold_into = |state: &mut [f64], fresh: &[u64]| {
+            for (slot, &c) in state.iter_mut().zip(fresh) {
+                *slot = lambda * *slot + c as f64;
+            }
+        };
+        fold_into(&mut self.truth, &delta.population);
+        fold_into(&mut self.genuine_counts, &delta.genuine_counts);
+        fold_into(&mut self.malicious_counts, &delta.malicious_counts);
+        self.genuine_reports = lambda * self.genuine_reports + delta.genuine_users as f64;
+        self.malicious_reports = lambda * self.malicious_reports + delta.malicious_users as f64;
     }
 }
 
@@ -329,13 +253,13 @@ mod tests {
         }
     }
 
-    fn fake_epoch(fill: u64, reports: usize) -> EpochAggregate {
-        EpochAggregate {
-            truth: vec![fill; 3],
+    fn fake_epoch(fill: u64, reports: usize) -> ShardDelta {
+        ShardDelta {
+            population: vec![fill; 3],
             genuine_counts: vec![fill + 1; 3],
-            genuine_reports: reports,
+            genuine_users: reports,
             malicious_counts: vec![fill / 2; 3],
-            malicious_reports: reports / 4,
+            malicious_users: reports / 4,
         }
     }
 
@@ -343,12 +267,13 @@ mod tests {
     fn sliding_window_retains_exactly_the_span() {
         let mode = WindowMode::Sliding(2);
         let mut state = WindowState::new(mode, 3);
+        let mut total = ShardDelta::zero(3);
         for fill in 1..=4u64 {
-            state
-                .absorb(mode, fake_epoch(fill, fill as usize * 10))
-                .unwrap();
+            let epoch = fake_epoch(fill, fill as usize * 10);
+            total.merge(&epoch);
+            state.absorb(mode, epoch).unwrap();
         }
-        let agg = state.aggregate(3).unwrap();
+        let agg = state.aggregate(&total);
         // Epochs 3 and 4 survive: truth 3+4, reports 30+40.
         assert_eq!(agg.truth, vec![7.0; 3]);
         assert_eq!(agg.genuine_reports, 70.0);
@@ -360,7 +285,7 @@ mod tests {
         let mut state = WindowState::new(mode, 3);
         state.absorb(mode, fake_epoch(8, 80)).unwrap();
         state.absorb(mode, fake_epoch(2, 20)).unwrap();
-        let agg = state.aggregate(3).unwrap();
+        let agg = state.aggregate(&ShardDelta::zero(3));
         // 0.5·8 + 2 = 6 exactly (powers of two: no rounding).
         assert_eq!(agg.truth, vec![6.0; 3]);
         assert_eq!(agg.genuine_reports, 60.0);
@@ -372,6 +297,9 @@ mod tests {
         assert!(state
             .absorb(WindowMode::Sliding(2), fake_epoch(1, 10))
             .is_err());
-        assert!(state.aggregate(3).is_none());
+        // Cumulative mode reads the running total it is handed.
+        let agg = state.aggregate(&fake_epoch(4, 40));
+        assert_eq!(agg.truth, vec![4.0; 3]);
+        assert_eq!(agg.malicious_reports, 10.0);
     }
 }

@@ -92,6 +92,46 @@ fn checkpoints_can_be_taken_at_every_epoch_boundary() {
     }
 }
 
+#[test]
+fn v1_checkpoint_fixtures_restore_rerender_and_resume() {
+    // The v1 format on disk: one checkpoint per window mode, written by
+    // `ldp stream --epochs 4 --suspend-after 2 --users-per-epoch 2000
+    // --window W --checkpoint PATH`. Each must restore, render back to
+    // its exact bytes, and resume to an uninterrupted engine's report.
+    for (window, text) in [
+        (
+            "cumulative",
+            include_str!("fixtures/stream_checkpoint_v1_cumulative.json"),
+        ),
+        (
+            "sliding:3",
+            include_str!("fixtures/stream_checkpoint_v1_sliding_3.json"),
+        ),
+        (
+            "decay:0.5",
+            include_str!("fixtures/stream_checkpoint_v1_decay_0_5.json"),
+        ),
+    ] {
+        let mut resumed = StreamEngine::from_checkpoint(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(resumed.spec().window.name(), window);
+        assert_eq!(resumed.epochs_done(), 2, "{window}: suspended mid-run");
+        assert_eq!(
+            resumed.to_checkpoint().render(),
+            text,
+            "{window}: re-render"
+        );
+        let mut uninterrupted = StreamEngine::new(*resumed.spec()).unwrap();
+        uninterrupted.run_to_completion().unwrap();
+        resumed.run_to_completion().unwrap();
+        assert_eq!(resumed, uninterrupted, "{window}: resumed state");
+        assert_eq!(
+            resumed.report().unwrap().render(),
+            uninterrupted.report().unwrap().render(),
+            "{window}: resumed report bytes"
+        );
+    }
+}
+
 proptest! {
     // Each case runs a real (small) engine; keep the count moderate.
     #![proptest_config(ProptestConfig::with_cases(24))]

@@ -90,12 +90,12 @@ fn one_shard_single_epoch_is_bit_identical_to_the_offline_pipeline() {
             .frequencies;
 
         assert_eq!(
-            engine.genuine().report_count(),
+            engine.total().genuine_users,
             offline.genuine_count,
             "{protocol}: genuine users"
         );
         assert_eq!(
-            engine.malicious().report_count(),
+            engine.total().malicious_users,
             offline.malicious_count,
             "{protocol}: malicious users"
         );
@@ -124,8 +124,8 @@ fn one_shard_single_epoch_is_bit_identical_to_the_offline_pipeline() {
 
 #[test]
 fn one_shard_single_epoch_counts_match_a_direct_recomputation() {
-    // The count-level half of contract 1: the engine's merged accumulators
-    // equal the shard cell's delta exactly (no hidden reweighting between
+    // The count-level half of contract 1: the engine's running total
+    // equals the shard cell's delta exactly (no hidden reweighting between
     // ingestion and state).
     for protocol in ProtocolKind::EXTENDED {
         let config = offline_config(protocol, 0.004);
@@ -133,9 +133,9 @@ fn one_shard_single_epoch_counts_match_a_direct_recomputation() {
         let mut engine = StreamEngine::new(spec).unwrap();
         engine.step().unwrap();
         let delta = shard_epoch_delta(&spec, 0, 0).unwrap();
-        assert_eq!(engine.genuine().counts(), &delta.genuine_counts[..]);
-        assert_eq!(engine.malicious().counts(), &delta.malicious_counts[..]);
-        assert_eq!(engine.true_counts(), &delta.population[..]);
+        assert_eq!(engine.total().genuine_counts, delta.genuine_counts);
+        assert_eq!(engine.total().malicious_counts, delta.malicious_counts);
+        assert_eq!(engine.total().population, delta.population);
     }
 }
 
@@ -149,6 +149,11 @@ fn n_shard_multi_epoch_state_is_the_exact_merge_of_its_cells() {
         let spec = StreamSpec::from_experiment(&config, 3, 2, 600);
         let mut engine = StreamEngine::new(spec).unwrap();
         engine.run_to_completion().unwrap();
+        let total = engine.total();
+        let engine_genuine =
+            CountAccumulator::from_parts(total.genuine_counts.clone(), total.genuine_users);
+        let engine_malicious =
+            CountAccumulator::from_parts(total.malicious_counts.clone(), total.malicious_users);
 
         let domain = spec.domain();
         let cells: Vec<(usize, usize)> = (0..spec.epochs)
@@ -177,26 +182,23 @@ fn n_shard_multi_epoch_state_is_the_exact_merge_of_its_cells() {
                 }
             }
             assert_eq!(
-                engine.genuine(),
-                &genuine,
+                engine_genuine, genuine,
                 "{protocol}: genuine state (reverse={reverse})"
             );
             assert_eq!(
-                engine.malicious(),
-                &malicious,
+                engine_malicious, malicious,
                 "{protocol}: malicious state (reverse={reverse})"
             );
             assert_eq!(
-                engine.true_counts(),
-                &truth[..],
+                total.population, truth,
                 "{protocol}: population (reverse={reverse})"
             );
         }
 
         // …and therefore every derived estimate is bit-identical too.
         let merged = {
-            let mut poisoned = engine.genuine().clone();
-            poisoned.merge(engine.malicious());
+            let mut poisoned = engine_genuine.clone();
+            poisoned.merge(&engine_malicious);
             poisoned
         };
         let params = protocol.build(spec.epsilon, domain).unwrap().params();
